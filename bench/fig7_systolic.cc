@@ -20,7 +20,7 @@
 #include "frontends/dahlia/parser.h"
 #include "frontends/systolic/systolic.h"
 #include "hls/scheduler.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "sim/cycle_sim.h"
 
 using namespace calyx;

@@ -69,7 +69,7 @@
 #include "frontends/dahlia/parser.h"
 #include "frontends/systolic/systolic.h"
 #include "obs/observer.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "sim/batch.h"
 #include "sim/compiled.h"
 #include "sim/cycle_sim.h"

@@ -15,7 +15,7 @@
 #include "frontends/dahlia/codegen.h"
 #include "frontends/dahlia/parser.h"
 #include "frontends/systolic/systolic.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "support/text.h"
 #include "workloads/harness.h"
 #include "workloads/polybench.h"

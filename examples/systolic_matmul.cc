@@ -11,7 +11,7 @@
 
 #include "frontends/systolic/systolic.h"
 #include "ir/printer.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "sim/cycle_sim.h"
 
 using namespace calyx;

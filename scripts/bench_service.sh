@@ -2,12 +2,13 @@
 # Compile-service benchmark: requests/sec through the content-addressed
 # compile cache (src/cache/) on a mutated PolyBench stream, plus
 # parallel per-component pass execution against serial, written to
-# BENCH_service.json. The driver itself verifies that every cached,
-# incremental, and parallel artifact is byte-identical to a cold serial
-# compile. Under --check the throughput gates are enforced too: warm
-# must beat cold (and be >= 5x), and on multi-core hosts parallel
-# `-p all` must be >= 1.5x serial on the multi-component workload —
-# that gate auto-skips on 1-core hosts, the identity gates never skip.
+# BENCH_service.json. The bench binary itself verifies that every warm,
+# incremental (never-seen single-kernel edits, each a cache miss) and
+# parallel artifact is byte-identical to a cold serial compile. Under
+# --check the throughput gates are enforced too: warm must beat cold
+# (and be >= 5x), and on multi-core hosts parallel `-p all` must be
+# >= 1.5x serial on the multi-component workload — that gate
+# auto-skips on 1-core hosts, the identity gates never skip.
 #
 # Usage: scripts/bench_service.sh [path/to/bench_service] [extra flags]
 #   e.g. scripts/bench_service.sh build/bench_service --small --check

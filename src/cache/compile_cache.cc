@@ -10,7 +10,6 @@
 #include <sstream>
 #include <sys/stat.h>
 #include <unistd.h>
-#include <unordered_set>
 
 #include "emit/backend.h"
 #include "ir/context.h"
@@ -53,19 +52,44 @@ readFileIfExists(const std::string &path)
 }
 
 /** Write-to-temp + rename, same discipline as the cppsim JIT cache:
- * a concurrent reader sees either nothing or the whole entry. */
+ * a concurrent reader sees either nothing or the whole entry. A failed
+ * or short write is never renamed into place. */
 void
 writeFileAtomic(const std::string &path, const std::string &text)
 {
     std::string tmp = path + ".tmp" + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        if (!out)
-            return; // Disk tier is best-effort; memory tier still holds it.
-        out << text;
-    }
-    if (::rename(tmp.c_str(), path.c_str()) != 0)
+    std::ofstream out(tmp, std::ios::binary);
+    if (!out)
+        return; // Disk tier is best-effort; memory tier still holds it.
+    out << text;
+    out.close();
+    if (!out || ::rename(tmp.c_str(), path.c_str()) != 0)
         ::remove(tmp.c_str());
+}
+
+/** First line of every disk entry: the key it was written under, the
+ * payload byte count, and the payload digest. */
+std::string
+entryHeader(const std::string &key, const std::string &payload)
+{
+    return "calyx-compile-cache " + key + " " +
+           std::to_string(payload.size()) + " " + contentDigest(payload) +
+           "\n";
+}
+
+/** The payload of a disk entry read back for `key`, or nullopt when
+ * the header does not vouch for it: garbage, truncation, or a file
+ * copied or renamed from another key. */
+std::optional<std::string>
+verifiedPayload(const std::string &key, const std::string &file)
+{
+    size_t nl = file.find('\n');
+    if (nl == std::string::npos)
+        return std::nullopt;
+    std::string payload = file.substr(nl + 1);
+    if (file.compare(0, nl + 1, entryHeader(key, payload)) != 0)
+        return std::nullopt;
+    return payload;
 }
 
 } // namespace
@@ -173,14 +197,21 @@ CompileCache::get(const std::string &key)
         return it->second->second;
     }
     if (!cfg.diskDir.empty()) {
-        if (auto text = readFileIfExists(cfg.diskDir + "/" + key + ".txt")) {
-            ++st.diskHits;
-            lru.emplace_front(key, *text);
-            index[key] = lru.begin();
-            st.bytes += text->size();
-            ++st.entries;
-            evictOver();
-            return text;
+        const std::string path = cfg.diskDir + "/" + key + ".txt";
+        if (auto file = readFileIfExists(path)) {
+            if (auto text = verifiedPayload(key, *file)) {
+                ++st.diskHits;
+                lru.emplace_front(key, *text);
+                index[key] = lru.begin();
+                st.bytes += text->size();
+                ++st.entries;
+                evictOver();
+                return text;
+            }
+            // Untrusted bytes: drop them; the recompile rewrites the
+            // entry.
+            ++st.diskRejects;
+            ::remove(path.c_str());
         }
     }
     ++st.misses;
@@ -207,7 +238,8 @@ CompileCache::put(const std::string &key, const std::string &value)
         evictOver();
     }
     if (!cfg.diskDir.empty() && makeDirs(cfg.diskDir))
-        writeFileAtomic(cfg.diskDir + "/" + key + ".txt", value);
+        writeFileAtomic(cfg.diskDir + "/" + key + ".txt",
+                        entryHeader(key, value) + value);
 }
 
 void
@@ -286,93 +318,21 @@ CompileService::compile(const CompileRequest &req)
         ++counts.artifactHits;
         res.artifact = std::move(*hit);
         res.artifactFromCache = true;
-        res.componentsFromCache = res.components;
         store.put(raw_key, res.artifact);
         res.seconds = elapsed();
         return res;
     }
 
-    // Tier 3: per-component post-pipeline texts.
-    const size_t n = digests.transitive.size();
-    std::vector<std::string> keys(n), texts(n);
-    std::vector<bool> cached(n, false);
-    for (size_t i = 0; i < n; ++i) {
-        keys[i] = contentDigest("component\n" + res.pipeline + "\n" +
-                                digests.transitive[i].second);
-        if (auto hit = store.get(keys[i])) {
-            texts[i] = std::move(*hit);
-            cached[i] = true;
-            ++counts.componentHits;
-            ++res.componentsFromCache;
-        } else {
-            ++counts.componentMisses;
-        }
-    }
-
-    bool any_miss = false;
-    for (size_t i = 0; i < n; ++i)
-        any_miss |= !cached[i];
-
-    if (any_miss) {
-        // Recompile the dependency-closed miss cone from source. The
-        // cone's own dependencies ride along in source form so every
-        // cross-component read a pass performs (callee signatures,
-        // inferred latencies) sees exactly what a cold whole-program
-        // compile would show it; unrelated components are simply
-        // absent, which is indistinguishable to a per-component pass.
-        std::unordered_set<Symbol> cone;
-        std::function<void(const Component &)> pull =
-            [&](const Component &comp) {
-                if (!cone.insert(comp.name()).second)
-                    return;
-                for (const auto &cell : comp.cells()) {
-                    if (cell->isPrimitive())
-                        continue;
-                    if (const Component *def =
-                            ctx.findComponent(cell->type()))
-                        pull(*def);
-                }
-            };
-        for (size_t i = 0; i < n; ++i) {
-            if (!cached[i])
-                pull(ctx.component(digests.transitive[i].first));
-        }
-
-        std::ostringstream sub;
-        Printer::printExterns(ctx, sub);
-        for (const auto &comp : ctx.components()) {
-            if (cone.count(comp->name())) {
-                Printer::print(*comp, sub);
-                sub << "\n";
-            }
-        }
-        Context sub_ctx = Parser::parseProgram(sub.str());
-        passes::RunOptions run_opts;
-        run_opts.threads = req.threads;
-        run_opts.verify = req.verify;
-        res.passInfos =
-            passes::runPipeline(sub_ctx, res.pipeline, run_opts);
-
-        for (size_t i = 0; i < n; ++i) {
-            if (cached[i])
-                continue;
-            texts[i] = Printer::toString(
-                sub_ctx.component(digests.transitive[i].first));
-            store.put(keys[i], texts[i]);
-        }
-    }
-
-    // Assemble hits + fresh results in source order and emit. The
-    // printer/parser round-trip is idempotent (tests/test_roundtrip.cc),
-    // so this reparse changes nothing the backends can see and the
-    // artifact is byte-identical to a cold serial compile.
-    std::ostringstream assembled;
-    Printer::printExterns(ctx, assembled);
-    for (size_t i = 0; i < n; ++i)
-        assembled << texts[i] << "\n";
-    Context final_ctx = Parser::parseProgram(assembled.str());
-    final_ctx.setEntrypoint(ctx.entrypoint());
-    res.artifact = backend->emitString(final_ctx);
+    // Miss: run the pipeline on the program just parsed and emit from
+    // that same Context. There is no per-component reuse to attempt:
+    // the entrypoint's transitive digest changes whenever anything it
+    // reaches changes, so any edit reruns the whole reachable program
+    // (docs/service.md, "Two tiers").
+    passes::RunOptions run_opts;
+    run_opts.threads = req.threads;
+    run_opts.verify = req.verify;
+    res.passInfos = passes::runPipeline(ctx, res.pipeline, run_opts);
+    res.artifact = backend->emitString(ctx);
 
     store.put(art_key, res.artifact);
     store.put(raw_key, res.artifact);

@@ -22,27 +22,26 @@ namespace calyx::cache {
 /**
  * Content-addressed compile cache (docs/service.md): the compiler-side
  * analogue of the compiled-simulation module cache. A resident
- * `CompileService` answers a stream of compile requests — mutated
- * variants of the same program, the workload shape of generated
- * frontends and compile-in-the-loop tooling — from memory instead of
- * re-running the pass pipeline.
+ * `CompileService` answers a stream of compile requests — repeats and
+ * reformatted variants of programs it has seen, the workload shape of
+ * generated frontends and compile-in-the-loop tooling — from memory
+ * instead of re-running the pass pipeline.
  *
  * Cache keys are derived from three ingredients and nothing else:
  *
- *   1. the component's *canonical source* (its printed text, so
+ *   1. each component's *canonical source* (its printed text, so
  *      formatting differences between requests do not split the key),
  *   2. the *normalized pipeline spec* (aliases expanded, exclusions
  *      applied, per-pass options sorted by key), and
  *   3. the transitive digests of every component it instantiates,
- *      so editing a dependency invalidates all dependents — and only
- *      them — transitively.
+ *      so editing a dependency changes the digest of every dependent.
  *
- * Three tiers, cheapest first: a raw-text tier (exact request bytes →
- * emitted artifact, no parse at all), a canonical artifact tier
- * (parsed + per-component digests → artifact, immune to whitespace),
- * and a per-component tier holding post-pipeline component texts, from
- * which an incremental compile rebuilds a program while re-running
- * passes only on the dependency-closed cone of changed components.
+ * Two tiers, cheapest first: a raw-text tier (exact request bytes →
+ * emitted artifact, no parse at all) and a canonical artifact tier
+ * (parsed program digest → artifact, immune to whitespace). A miss in
+ * both compiles the parsed program once, in place. There is no
+ * per-component tier: the entrypoint reaches every component it can
+ * be affected by, so any edit reruns the whole reachable program.
  */
 
 /**
@@ -83,11 +82,13 @@ ProgramDigests digestProgram(const Context &ctx);
 std::string compileCacheDir();
 
 /**
- * In-memory LRU over digest-keyed text values with an optional
- * on-disk tier. Entries are whole artifacts or post-pipeline
- * component texts; the key already encodes everything that determines
- * the value, so entries never need invalidation — only eviction.
- * Thread-safe (one mutex; the serve loop and tests share instances).
+ * In-memory LRU over digest-keyed artifacts with an optional on-disk
+ * tier. The key already encodes everything that determines the value,
+ * so entries never need invalidation — only eviction. Disk entries are
+ * untrusted: each `<key>.txt` starts with a header line naming its key,
+ * payload byte count and payload digest, and get() deletes and misses
+ * on any entry whose header does not match. Thread-safe (one mutex;
+ * the serve loop and tests share instances).
  */
 class CompileCache
 {
@@ -109,6 +110,8 @@ class CompileCache
     {
         uint64_t hits = 0;     ///< In-memory tier hits.
         uint64_t diskHits = 0; ///< Disk tier hits (promoted to memory).
+        /** Disk entries whose header failed to verify (deleted). */
+        uint64_t diskRejects = 0;
         uint64_t misses = 0;
         uint64_t evictions = 0;
         uint64_t entries = 0; ///< Current in-memory entries.
@@ -158,7 +161,6 @@ struct CompileResult
     /** Normalized pipeline spec actually keyed on. */
     std::string pipeline;
     uint64_t components = 0; ///< 0 on a raw-text hit (nothing parsed).
-    uint64_t componentsFromCache = 0;
     bool artifactFromCache = false;
     /** The cheapest tier hit: exact request bytes, no parse. */
     bool rawTextHit = false;
@@ -169,12 +171,9 @@ struct CompileResult
 
 /**
  * A resident compiler: CompileCache + the compile pipeline behind one
- * call. Misses re-run passes only on the dependency-closed cone of
- * changed components (cached components' post-pipeline texts are
- * spliced back in), which is sound because every core pass is
- * per-component and reads other components only along instantiation
- * edges — the exact invariant the transitive cache key asserts
- * (docs/service.md has the full contract).
+ * call. A request that misses both tiers is parsed once, run through
+ * the pipeline, and emitted from that same Context, so a miss costs
+ * what an uncached compile costs (docs/service.md has the contract).
  */
 class CompileService
 {
@@ -184,8 +183,10 @@ class CompileService
         uint64_t requests = 0;
         uint64_t rawHits = 0;      ///< Raw-text artifact hits.
         uint64_t artifactHits = 0; ///< Canonical artifact hits.
+        /** Always 0: there is no per-component tier. Kept so existing
+         * readers of these counters still compile. */
         uint64_t componentHits = 0;
-        uint64_t componentMisses = 0;
+        uint64_t componentMisses = 0; ///< Always 0, as componentHits.
     };
 
     /** Memory-only by default; $CALYX_COMPILE_CACHE (when set) enables

@@ -10,9 +10,9 @@ namespace calyx::passes {
 
 PassRegistry::PassRegistry()
 {
-    // Composite aliases. `default` is the standard pipeline that
-    // CompileOptions{} historically selected; `all` additionally runs
-    // every optimization pass (the old `futil -p all`).
+    // Composite aliases. `default` is the standard pipeline without
+    // optional optimizations; `all` additionally runs every
+    // optimization pass (the old `futil -p all`).
     composites["default"] = {
         "well-formed,collapse-control,infer-latency,go-insertion,"
         "compile-control,remove-groups,dead-cell-removal",

@@ -38,11 +38,11 @@ namespace calyx::serve {
  *
  * A compile response's result is { "artifact": "<emitted text>",
  * "backend", "pipeline" (normalized spec), "components",
- * "components_from_cache", "artifact_from_cache", "raw_text_hit",
- * "compile_ms", "passes_run" } — the artifact is byte-identical to
- * what `futil -b <backend> -p <spec>` emits for the same source
- * (docs/service.md has the cache-key contract). Unknown request types
- * are rejected with a did-you-mean suggestion.
+ * "artifact_from_cache", "raw_text_hit", "compile_ms", "passes_run" }
+ * — the artifact is byte-identical to what `futil -b <backend> -p
+ * <spec>` emits for the same source (docs/service.md has the cache-key
+ * contract). Unknown request types are rejected with a did-you-mean
+ * suggestion.
  */
 
 /// 64 MiB: a frame length above this is framing garbage, not a batch.

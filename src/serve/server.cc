@@ -33,8 +33,7 @@ statsJson(const ServeOptions &opts, const ServeStats &stats,
           json::Value::boolean(runner.modulesFromCache()));
     // Compile-cache counters, mirroring the module_loads/
     // modules_from_cache proof for the simulation side: a warm stream
-    // shows artifacts_from_cache/components_from_cache climbing while
-    // passes_run stays put.
+    // shows artifacts_from_cache climbing while passes_run stays put.
     const cache::CompileService::Counters &c = compiler.counters();
     cache::CompileCache::Stats cs = compiler.cacheStats();
     json::Value cj = json::Value::object();
@@ -42,12 +41,11 @@ statsJson(const ServeOptions &opts, const ServeStats &stats,
     cj.set("artifacts_from_raw_text", json::Value::number(c.rawHits));
     cj.set("artifacts_from_cache",
            json::Value::number(c.rawHits + c.artifactHits));
-    cj.set("components_from_cache", json::Value::number(c.componentHits));
-    cj.set("component_misses", json::Value::number(c.componentMisses));
     cj.set("cache_entries", json::Value::number(cs.entries));
     cj.set("cache_bytes", json::Value::number(cs.bytes));
     cj.set("cache_evictions", json::Value::number(cs.evictions));
     cj.set("disk_hits", json::Value::number(cs.diskHits));
+    cj.set("disk_rejects", json::Value::number(cs.diskRejects));
     s.set("compile", std::move(cj));
     env.set("serve", std::move(s));
     return env;
@@ -61,8 +59,6 @@ compileJson(const cache::CompileResult &res, const std::string &backend)
     r.set("backend", json::Value::str(backend));
     r.set("pipeline", json::Value::str(res.pipeline));
     r.set("components", json::Value::number(res.components));
-    r.set("components_from_cache",
-          json::Value::number(res.componentsFromCache));
     r.set("artifact_from_cache",
           json::Value::boolean(res.artifactFromCache));
     r.set("raw_text_hit", json::Value::boolean(res.rawTextHit));
@@ -87,8 +83,8 @@ serve(const sim::SimProgram &prog, std::istream &in, std::ostream &out,
     // built here, once, before the first request is even read.
     sim::BatchRunner runner(prog, bo);
     // Resident compiler: the compile cache lives for the session, so a
-    // stream of mutated programs pays the pass pipeline only for the
-    // components that actually changed.
+    // program seen before (byte for byte or modulo formatting) skips
+    // the pass pipeline.
     cache::CompileService compiler(opts.compileCache);
 
     ServeStats stats;

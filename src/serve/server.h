@@ -48,9 +48,9 @@ struct ServeStats
  * `stats` request reports module_loads/modules_from_cache to prove
  * it), and one cache::CompileService answers `compile` requests
  * (source + pipeline spec + backend in, emitted artifact out) with
- * content-addressed caching and incremental per-component reuse, so a
- * stream of mutated programs is served from memory (`stats` mirrors
- * the cache-hit counters under "compile"). Requests and responses are
+ * content-addressed caching, so a repeated or reformatted program is
+ * served from memory without running a pass (`stats` mirrors the
+ * cache-hit counters under "compile"). Requests and responses are
  * length-prefixed JSON frames (serve/protocol.h) over plain streams:
  * stdin/stdout under futil, stringstreams under test, a socketpair
  * behind inetd-style supervision — the loop does not care.

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "ir/builder.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "sim/cycle_sim.h"
 #include "sim/interp.h"
 
@@ -85,20 +85,11 @@ simulatedReg(Context &ctx, const std::string &reg, uint64_t *cycles)
     return *sp.findModel(reg)->registerValue();
 }
 
-/** Register value after compiling and cycle-simulating a program. */
+/** Register value after compiling a program through a pipeline-spec
+ * string and cycle-simulating it. */
 inline uint64_t
 compiledReg(Context &ctx, const std::string &reg,
-            const passes::CompileOptions &options = {},
-            uint64_t *cycles = nullptr)
-{
-    passes::compile(ctx, options);
-    return simulatedReg(ctx, reg, cycles);
-}
-
-/** Same, but the pipeline is given as a pipeline-spec string. */
-inline uint64_t
-compiledReg(Context &ctx, const std::string &reg, const std::string &spec,
-            uint64_t *cycles = nullptr)
+            const std::string &spec = "default", uint64_t *cycles = nullptr)
 {
     passes::runPipeline(ctx, spec);
     return simulatedReg(ctx, reg, cycles);

@@ -1,27 +1,32 @@
 /**
- * The content-addressed compile cache and CompileService (ISSUE 9):
+ * The content-addressed compile cache and CompileService:
  * pipeline-spec normalization (alias vs expansion, exclusions, option
- * order) hashing equal; transitive digest invalidation; and the
- * acceptance gates — a mutated-component request stream whose cached
- * (and parallel-pass) artifacts are byte-identical to cold serial
- * compiles for both the calyx and verilog backends, with a dependency
- * edit invalidating dependents transitively and sparing unrelated
- * components. Plus the LRU/disk-tier mechanics of CompileCache itself.
+ * order) hashing equal; transitive digests changing exactly for an
+ * edited component and its dependents; a mutated request stream whose
+ * cached (and parallel-pass) artifacts are byte-identical to cold
+ * serial compiles for both the calyx and verilog backends. Plus the
+ * LRU and disk-tier mechanics of CompileCache itself, including disk
+ * entries that are garbage, truncated, or filed under the wrong key.
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <csignal>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "cache/compile_cache.h"
 #include "emit/backend.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
-#include "passes/pipeline.h"
 #include "passes/pipeline_spec.h"
 #include "support/error.h"
 #include "support/hash.h"
@@ -30,9 +35,9 @@ namespace calyx {
 namespace {
 
 /** A three-level dependency chain (main -> mid -> leaf) plus a
- * component nothing depends on, so a leaf edit must invalidate exactly
- * {leaf, mid, main} and spare `island`. The `@CONST@` markers let
- * tests mint mutated variants of individual components. */
+ * component only main depends on, so a leaf edit must change the
+ * digests of exactly {leaf, mid, main} and spare `island`. The
+ * constants let tests mint mutated variants of individual components. */
 std::string
 chainProgram(const std::string &leaf_const,
              const std::string &island_const)
@@ -94,6 +99,53 @@ coldCompile(const std::string &src, const std::string &spec,
         ctx);
 }
 
+/** A fresh temporary directory, removed with its contents. */
+struct TempDir
+{
+    std::string path;
+
+    TempDir()
+    {
+        std::string tmpl =
+            (std::filesystem::temp_directory_path() /
+             "calyx-compile-test-XXXXXX")
+                .string();
+        if (::mkdtemp(tmpl.data()))
+            path = tmpl;
+    }
+    ~TempDir()
+    {
+        if (!path.empty())
+            std::filesystem::remove_all(path);
+    }
+};
+
+/** Every file in `dir`, sorted. */
+std::vector<std::string>
+filesIn(const std::string &dir)
+{
+    std::vector<std::string> files;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        files.push_back(e.path().string());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream(path, std::ios::binary) << text;
+}
+
 TEST(PipelineSpecNormalization, AliasEqualsExpansion)
 {
     // "all" and its hand-expanded member list normalize to the same
@@ -151,24 +203,35 @@ TEST(PipelineSpecNormalization, OptionOrderIsCanonical)
     }
 }
 
+/** The components whose transitive digest differs between two
+ * sources, in source order. */
+std::vector<std::string>
+changedDigests(const std::string &before, const std::string &after)
+{
+    Context a = Parser::parseProgram(before);
+    Context b = Parser::parseProgram(after);
+    cache::ProgramDigests da = cache::digestProgram(a);
+    cache::ProgramDigests db = cache::digestProgram(b);
+    EXPECT_EQ(da.transitive.size(), db.transitive.size());
+    std::vector<std::string> changed;
+    for (size_t i = 0; i < da.transitive.size(); ++i) {
+        EXPECT_EQ(da.transitive[i].first.str(), db.transitive[i].first.str());
+        if (da.transitive[i].second != db.transitive[i].second)
+            changed.push_back(da.transitive[i].first.str());
+    }
+    EXPECT_NE(da.program, db.program);
+    return changed;
+}
+
 TEST(ProgramDigests, TransitiveInvalidation)
 {
-    Context base = Parser::parseProgram(chainProgram("3", "7"));
-    Context edit = Parser::parseProgram(chainProgram("4", "7"));
-    cache::ProgramDigests db = cache::digestProgram(base);
-    cache::ProgramDigests de = cache::digestProgram(edit);
-    ASSERT_EQ(db.transitive.size(), 4u);
-    ASSERT_EQ(de.transitive.size(), 4u);
-    for (size_t i = 0; i < 4; ++i) {
-        const std::string name = db.transitive[i].first.str();
-        ASSERT_EQ(name, de.transitive[i].first.str());
-        if (name == "island")
-            EXPECT_EQ(db.transitive[i].second, de.transitive[i].second);
-        else // leaf changed; mid and main depend on it transitively.
-            EXPECT_NE(db.transitive[i].second, de.transitive[i].second)
-                << name;
-    }
-    EXPECT_NE(db.program, de.program);
+    // Editing the leaf changes leaf, and mid and main through the
+    // dependency chain; the island is untouched.
+    EXPECT_EQ(changedDigests(chainProgram("3", "7"), chainProgram("4", "7")),
+              (std::vector<std::string>{"leaf", "mid", "main"}));
+    // Editing the island changes it and main, which instantiates it.
+    EXPECT_EQ(changedDigests(chainProgram("3", "7"), chainProgram("3", "9")),
+              (std::vector<std::string>{"island", "main"}));
 }
 
 TEST(ProgramDigests, WhitespaceInsensitive)
@@ -262,36 +325,27 @@ TEST(CompileService, MutatedStreamByteIdenticalBothBackends)
             EXPECT_EQ(res.artifact, coldCompile(src, spec, backend))
                 << backend << " variant " << v;
         }
-        // The stream revisits constants, so later variants reuse
-        // cached components instead of re-running passes on all four.
-        EXPECT_GT(svc.counters().componentHits, 0u);
     }
 }
 
-TEST(CompileService, DependencyEditInvalidatesTransitively)
+TEST(CompileService, EditIsAMissEqualToColdCompile)
 {
     cache::CompileService svc((cache::CompileCache::Config()));
     cache::CompileRequest req;
     req.pipeline = "all";
     req.source = chainProgram("3", "7");
     svc.compile(req);
-    EXPECT_EQ(svc.counters().componentMisses, 4u);
 
-    // Edit the leaf: main and mid are invalidated through the
-    // dependency chain; only the island's cached text is reusable.
+    // A one-component edit of a program the service has seen misses
+    // both tiers and runs the pipeline on the whole program.
     req.source = chainProgram("4", "7");
     cache::CompileResult res = svc.compile(req);
-    EXPECT_EQ(res.componentsFromCache, 1u);
-    EXPECT_EQ(svc.counters().componentHits, 1u);
-    EXPECT_EQ(svc.counters().componentMisses, 7u);
+    EXPECT_FALSE(res.artifactFromCache);
+    EXPECT_FALSE(res.passInfos.empty());
+    EXPECT_EQ(res.components, 4u);
     EXPECT_EQ(res.artifact, coldCompile(req.source, "all", "calyx"));
-
-    // Edit the island: leaf and mid are untouched and reused; main
-    // instantiates the island, so it is invalidated along with it.
-    req.source = chainProgram("4", "9");
-    res = svc.compile(req);
-    EXPECT_EQ(res.componentsFromCache, 2u);
-    EXPECT_EQ(res.artifact, coldCompile(req.source, "all", "calyx"));
+    EXPECT_EQ(svc.counters().artifactHits + svc.counters().rawHits, 0u);
+    EXPECT_EQ(svc.counters().componentHits, 0u);
 }
 
 TEST(CompileService, ParallelPassesByteIdentical)
@@ -345,34 +399,122 @@ TEST(CompileService, ParallelRunInfoAggregatesDeterministically)
 
 TEST(CompileService, DiskTierSurvivesRestart)
 {
-    char tmpl[] = "/tmp/calyx-compile-test-XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    const std::string dir = tmpl;
-
+    TempDir dir;
+    ASSERT_FALSE(dir.path.empty());
     cache::CompileCache::Config cfg;
-    cfg.diskDir = dir;
-    std::string artifact;
-    {
-        cache::CompileService svc(cfg);
-        cache::CompileRequest req;
-        req.source = chainProgram("3", "7");
-        req.pipeline = "all";
-        artifact = svc.compile(req).artifact;
-    }
-    // A fresh service — a "restarted" process — warms from disk: the
-    // artifact comes back without running any pass.
-    cache::CompileService svc(cfg);
+    cfg.diskDir = dir.path;
     cache::CompileRequest req;
     req.source = chainProgram("3", "7");
     req.pipeline = "all";
+    std::string artifact = cache::CompileService(cfg).compile(req).artifact;
+
+    // A fresh service — a "restarted" process — warms from disk: the
+    // artifact comes back without running any pass.
+    cache::CompileService svc(cfg);
     cache::CompileResult res = svc.compile(req);
     EXPECT_TRUE(res.artifactFromCache);
     EXPECT_TRUE(res.passInfos.empty());
     EXPECT_EQ(res.artifact, artifact);
     EXPECT_GT(svc.cacheStats().diskHits, 0u);
+}
 
-    std::string cmd = "rm -rf " + dir;
-    (void)std::system(cmd.c_str());
+/**
+ * Fill a disk tier with the chain program's entries, overwrite each
+ * entry file with `damage(its contents)`, and check that a restarted
+ * service rejects every one, recompiles cold, and writes valid entries
+ * back in their place.
+ */
+void
+expectDamagedEntriesRecompile(
+    const std::function<std::string(const std::string &)> &damage)
+{
+    TempDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    cache::CompileCache::Config cfg;
+    cfg.diskDir = dir.path;
+    cache::CompileRequest req;
+    req.source = chainProgram("3", "7");
+    req.pipeline = "all";
+    cache::CompileService(cfg).compile(req);
+    const std::vector<std::string> files = filesIn(dir.path);
+    EXPECT_EQ(files.size(), 2u); // The raw-text and canonical entries.
+    for (const std::string &f : files)
+        writeFile(f, damage(readFile(f)));
+
+    const std::string cold = coldCompile(req.source, "all", "calyx");
+    cache::CompileService restarted(cfg);
+    cache::CompileResult res = restarted.compile(req);
+    EXPECT_FALSE(res.artifactFromCache);
+    EXPECT_EQ(res.artifact, cold);
+    EXPECT_EQ(restarted.cacheStats().diskHits, 0u);
+    EXPECT_EQ(restarted.cacheStats().diskRejects, 2u);
+
+    // Both entries were rewritten, and a second restart trusts them.
+    EXPECT_EQ(filesIn(dir.path), files);
+    cache::CompileService again(cfg);
+    res = again.compile(req);
+    EXPECT_TRUE(res.rawTextHit);
+    EXPECT_EQ(res.artifact, cold);
+    EXPECT_EQ(again.cacheStats().diskHits, 1u);
+    EXPECT_EQ(again.cacheStats().diskRejects, 0u);
+}
+
+TEST(CompileCache, GarbageDiskEntryIsRejected)
+{
+    expectDamagedEntriesRecompile(
+        [](const std::string &) { return std::string("\x7f garbage"); });
+}
+
+TEST(CompileCache, TruncatedDiskEntryIsRejected)
+{
+    expectDamagedEntriesRecompile([](const std::string &text) {
+        return text.substr(0, text.size() / 2);
+    });
+}
+
+TEST(CompileCache, DiskEntryFromAnotherKeyIsRejected)
+{
+    // A valid entry of a different program, renamed under this
+    // program's keys.
+    TempDir other;
+    ASSERT_FALSE(other.path.empty());
+    cache::CompileCache::Config cfg;
+    cfg.diskDir = other.path;
+    cache::CompileRequest req;
+    req.source = chainProgram("4", "9");
+    req.pipeline = "all";
+    cache::CompileService(cfg).compile(req);
+    const std::string foreign = readFile(filesIn(other.path).front());
+    expectDamagedEntriesRecompile(
+        [&foreign](const std::string &) { return foreign; });
+}
+
+TEST(CompileCache, FailedDiskWriteIsNotCommitted)
+{
+    // A write cut short (here by the file-size limit) must leave no
+    // entry behind, not a truncated one renamed into place.
+    TempDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    cache::CompileCache::Config cfg;
+    cfg.diskDir = dir.path;
+    const std::string value(64 << 10, 'x');
+
+    struct rlimit saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    struct rlimit small = saved;
+    small.rlim_cur = 4096;
+    auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+    cache::CompileCache(cfg).put("big", value);
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+
+    EXPECT_TRUE(filesIn(dir.path).empty());
+    EXPECT_FALSE(cache::CompileCache(cfg).get("big").has_value());
+
+    // Without the limit the same put commits an entry that reads back.
+    cache::CompileCache(cfg).put("big", value);
+    EXPECT_EQ(cache::CompileCache(cfg).get("big").value_or(""), value);
 }
 
 TEST(CompileService, ErrorsDoNotPoisonTheCache)

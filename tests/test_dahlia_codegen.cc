@@ -13,13 +13,13 @@ namespace {
  */
 void
 expectMatchesInterp(const std::string &src,
-                    const passes::CompileOptions &options = {})
+                    const std::string &spec = "default")
 {
     dahlia::Program prog = dahlia::parse(src);
     workloads::MemState inputs = workloads::makeInputs("t", prog);
     workloads::MemState golden = workloads::runOnInterp(prog, inputs);
     workloads::MemState hw;
-    workloads::runOnHardware(prog, options, inputs, &hw);
+    workloads::runOnHardware(prog, spec, inputs, &hw);
     for (const auto &[name, data] : golden)
         EXPECT_EQ(hw.at(name), data) << "memory " << name;
 }
@@ -186,8 +186,6 @@ out[0] := acc;
 
 TEST(DahliaCodegen, MultSequencesUnderSensitive)
 {
-    passes::CompileOptions opts;
-    opts.sensitive = true;
     expectMatchesInterp(R"(
 decl a: ubit<32>[4];
 decl out: ubit<32>[4];
@@ -195,7 +193,7 @@ for (let i: ubit<3> = 0..4) {
   out[i] := a[i] * a[i] * 2 + 7;
 }
 )",
-                        opts);
+                        "all,-resource-sharing,-register-sharing");
 }
 
 TEST(DahliaCodegen, StaticGroupsAnnotated)
@@ -251,11 +249,14 @@ for (let i: ubit<4> = 0..8) {
     for (bool rs : {false, true}) {
         for (bool gs : {false, true}) {
             for (bool st : {false, true}) {
-                passes::CompileOptions opts;
-                opts.resourceSharing = rs;
-                opts.registerSharing = gs;
-                opts.sensitive = st;
-                expectMatchesInterp(src, opts);
+                std::string spec = "all";
+                if (!rs)
+                    spec += ",-resource-sharing";
+                if (!gs)
+                    spec += ",-register-sharing";
+                if (!st)
+                    spec += ",-static";
+                expectMatchesInterp(src, spec);
             }
         }
     }

@@ -27,18 +27,12 @@ class PolybenchKernel
     static constexpr int configAllOpts = 2;
     static constexpr int configUnrolled = 3;
 
-    static passes::CompileOptions
-    optionsFor(int config)
+    static const char *
+    specFor(int config)
     {
-        passes::CompileOptions o;
         if (config == configSensitive)
-            o.sensitive = true;
-        if (config == configAllOpts) {
-            o.resourceSharing = true;
-            o.registerSharing = true;
-            o.sensitive = true;
-        }
-        return o;
+            return "all,-resource-sharing,-register-sharing";
+        return config == configAllOpts ? "all" : "default";
     }
 };
 
@@ -69,7 +63,7 @@ TEST_P(PolybenchKernel, HardwareMatchesReferenceAndInterp)
     // Compiled hardware.
     MemState hw;
     auto result = workloads::runOnHardware(
-        prog, optionsFor(config), inputs, &hw);
+        prog, specFor(config), inputs, &hw);
     EXPECT_GT(result.cycles, 0u);
     for (const auto &[mem, data] : golden)
         EXPECT_EQ(hw.at(mem), data)
@@ -141,9 +135,8 @@ TEST(Polybench, SensitiveNeverSlower)
         MemState inputs = workloads::makeInputs(k.name, prog);
         auto slow =
             workloads::runOnHardware(prog, "default", inputs);
-        passes::CompileOptions fast_opts;
-        fast_opts.sensitive = true;
-        auto fast = workloads::runOnHardware(prog, fast_opts, inputs);
+        auto fast = workloads::runOnHardware(
+            prog, "all,-resource-sharing,-register-sharing", inputs);
         EXPECT_LT(fast.cycles, slow.cycles) << name;
     }
 }

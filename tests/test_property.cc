@@ -185,27 +185,20 @@ TEST_P(PropertySeed, CompilationPreservesSemantics)
                 *sp.findModel(cell->name())->registerValue());
     }
 
-    struct ConfigCase
-    {
-        bool resource, registers, sensitive;
+    // Resource sharing and the static pass on and off; dead-cell
+    // removal off so every register can be compared.
+    const char *specs[] = {
+        "all,-resource-sharing,-register-sharing,-static,-dead-cell-removal",
+        "all,-register-sharing,-static,-dead-cell-removal",
+        "all,-resource-sharing,-register-sharing,-dead-cell-removal",
+        "all,-register-sharing,-dead-cell-removal",
     };
-    const ConfigCase configs[] = {
-        {false, false, false},
-        {true, false, false},
-        {false, false, true},
-        {true, false, true},
-    };
-    for (const auto &c : configs) {
+    for (const char *spec : specs) {
         RandomProgram gen2(seed);
         Context ctx = gen2.build();
-        passes::CompileOptions opts;
-        opts.resourceSharing = c.resource;
-        opts.registerSharing = c.registers;
-        opts.sensitive = c.sensitive;
+        passes::RunOptions opts;
         opts.verify = true;
-        // Keep unused registers so every register can be compared.
-        opts.deadCellRemoval = false;
-        passes::compile(ctx, opts);
+        passes::runPipeline(ctx, spec, opts);
         sim::SimProgram sp2(ctx, "main");
         sim::CycleSim cs(sp2);
         cs.run(2'000'000);
@@ -216,8 +209,7 @@ TEST_P(PropertySeed, CompilationPreservesSemantics)
                     *sp2.findModel(cell->name())->registerValue());
         }
         EXPECT_EQ(got, expect)
-            << "seed " << seed << " config{rs=" << c.resource
-            << ",st=" << c.sensitive << "}";
+            << "seed " << seed << " pipeline " << spec;
     }
 }
 

@@ -9,6 +9,9 @@ namespace {
 using passes::RegisterSharing;
 using testing::compiledReg;
 
+/** The default pipeline plus register sharing (§5.2). */
+constexpr const char *kRegisterSharing = "all,-resource-sharing,-static";
+
 /**
  * t0 and t1 have disjoint live ranges: t0 is dead after feeding x,
  * so t1 can reuse its register.
@@ -67,12 +70,10 @@ TEST(RegisterSharing, PreservesSemantics)
     Context p2 = disjointLiveRanges();
     EXPECT_EQ(compiledReg(p2, "y"), 8u);
 
-    passes::CompileOptions opts;
-    opts.registerSharing = true;
     Context shared = disjointLiveRanges();
-    EXPECT_EQ(compiledReg(shared, "x", opts), 6u);
+    EXPECT_EQ(compiledReg(shared, "x", kRegisterSharing), 6u);
     Context s2 = disjointLiveRanges();
-    EXPECT_EQ(compiledReg(s2, "y", opts), 8u);
+    EXPECT_EQ(compiledReg(s2, "y", kRegisterSharing), 8u);
 }
 
 /**
@@ -131,10 +132,8 @@ TEST(RegisterSharing, KeepsOverlappingLiveRangesApart)
 
 TEST(RegisterSharing, OverlappingSemanticsPreserved)
 {
-    passes::CompileOptions opts;
-    opts.registerSharing = true;
     Context ctx = overlappingLiveRanges();
-    EXPECT_EQ(compiledReg(ctx, "x", opts), 12u);
+    EXPECT_EQ(compiledReg(ctx, "x", kRegisterSharing), 12u);
 }
 
 TEST(RegisterSharing, LoopCarriedRegistersInterfere)
@@ -148,10 +147,8 @@ TEST(RegisterSharing, LoopCarriedRegistersInterfere)
     EXPECT_NE(main.findCell("x"), nullptr);
     EXPECT_NE(main.findCell("i"), nullptr);
 
-    passes::CompileOptions opts;
-    opts.registerSharing = true;
     Context ctx2 = calyx::testing::counterProgram(5, 3);
-    EXPECT_EQ(compiledReg(ctx2, "x", opts), 15u);
+    EXPECT_EQ(compiledReg(ctx2, "x", kRegisterSharing), 15u);
 }
 
 TEST(RegisterSharing, ParallelWritesInterfere)
@@ -179,9 +176,7 @@ TEST(RegisterSharing, ParallelWritesInterfere)
     ctx.component("main").setControl(
         ComponentBuilder::seq(std::move(s)));
 
-    passes::CompileOptions opts;
-    opts.registerSharing = true;
-    EXPECT_EQ(compiledReg(ctx, "x", opts), 12u);
+    EXPECT_EQ(compiledReg(ctx, "x", kRegisterSharing), 12u);
 }
 
 } // namespace

@@ -9,6 +9,9 @@ namespace {
 using passes::ResourceSharing;
 using testing::compiledReg;
 
+/** The default pipeline plus resource sharing (§5.1). */
+constexpr const char *kResourceSharing = "all,-register-sharing,-static";
+
 /**
  * Figure 3's example: par{let_r0, let_r1} then incr_r0; incr_r1 with
  * separate adders a0/a1 that can be shared.
@@ -146,11 +149,9 @@ TEST(ResourceSharing, PreservesSemantics)
     EXPECT_EQ(compiledReg(plain, "r0"), 1u);
 
     Context shared = figure3Program();
-    passes::CompileOptions opts;
-    opts.resourceSharing = true;
-    EXPECT_EQ(compiledReg(shared, "r0", opts), 1u);
+    EXPECT_EQ(compiledReg(shared, "r0", kResourceSharing), 1u);
     Context shared2 = figure3Program();
-    EXPECT_EQ(compiledReg(shared2, "r1", opts), 1u);
+    EXPECT_EQ(compiledReg(shared2, "r1", kResourceSharing), 1u);
 }
 
 TEST(ResourceSharing, CondComparatorRewrittenInControl)
@@ -171,9 +172,7 @@ TEST(ResourceSharing, CondComparatorRewrittenInControl)
     seq->add(main.takeControl());
     main.setControl(std::move(seq));
 
-    passes::CompileOptions opts;
-    opts.resourceSharing = true;
-    EXPECT_EQ(compiledReg(ctx, "x", opts), 6u);
+    EXPECT_EQ(compiledReg(ctx, "x", kResourceSharing), 6u);
 }
 
 } // namespace

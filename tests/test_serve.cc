@@ -16,7 +16,7 @@
 
 #include "emit/backend.h"
 #include "ir/parser.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "sim/compiled.h"
@@ -390,6 +390,10 @@ TEST(Serve, CompileRequestRoundTrip)
     EXPECT_EQ(cstats.at("artifacts_from_cache").asNum(), 1u);
     EXPECT_EQ(cstats.at("artifacts_from_raw_text").asNum(), 1u);
     EXPECT_GT(cstats.at("cache_entries").asNum(), 0u);
+    EXPECT_EQ(cstats.at("disk_rejects").asNum(), 0u);
+    // There is no per-component tier to report on.
+    EXPECT_EQ(cstats.find("components_from_cache"), nullptr);
+    EXPECT_EQ(cold.find("components_from_cache"), nullptr);
 }
 
 TEST(Serve, RejectsObserverFlagsNamingBoth)

@@ -9,6 +9,16 @@ namespace {
 
 using passes::ResourceSharing;
 
+/** The default pipeline plus resource sharing above a width threshold. */
+std::string
+sharingSpec(Width min_width)
+{
+    return "well-formed,collapse-control,infer-latency,"
+           "resource-sharing[min-width=" +
+           std::to_string(min_width) +
+           "],go-insertion,compile-control,remove-groups,dead-cell-removal";
+}
+
 /** Two sequential groups using separate adders of the given width. */
 Context
 twoAdderProgram(Width width)
@@ -63,13 +73,11 @@ TEST(ShareHeuristic, ThresholdStillSharesWideUnits)
 
 TEST(ShareHeuristic, PipelineOptionPreservesSemantics)
 {
-    passes::CompileOptions opts;
-    opts.resourceSharing = true;
-    opts.resourceSharingMinWidth = 16;
+    const std::string spec = sharingSpec(16);
     Context ctx = twoAdderProgram(8);
-    EXPECT_EQ(testing::compiledReg(ctx, "r0", opts), 1u);
+    EXPECT_EQ(testing::compiledReg(ctx, "r0", spec), 1u);
     Context ctx2 = twoAdderProgram(8);
-    EXPECT_EQ(testing::compiledReg(ctx2, "r1", opts), 1u);
+    EXPECT_EQ(testing::compiledReg(ctx2, "r1", spec), 1u);
 }
 
 TEST(ShareHeuristic, ThresholdNeverIncreasesLutsVsFullSharing)
@@ -78,10 +86,7 @@ TEST(ShareHeuristic, ThresholdNeverIncreasesLutsVsFullSharing)
     // thresholded sharing should use no more LUTs than full sharing.
     auto luts = [](Width threshold) {
         Context ctx = twoAdderProgram(4);
-        passes::CompileOptions opts;
-        opts.resourceSharing = true;
-        opts.resourceSharingMinWidth = threshold;
-        passes::compile(ctx, opts);
+        passes::runPipeline(ctx, sharingSpec(threshold));
         estimate::AreaEstimator est(ctx);
         return est.estimateProgram().luts;
     };

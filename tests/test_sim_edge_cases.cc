@@ -34,7 +34,7 @@ TEST(SimEdge, DisjointGuardedDriversAreLegal)
 TEST(SimEdge, UnknownCellPathSuggestsClosest)
 {
     Context ctx = testing::counterProgram(3, 2);
-    passes::compile(ctx);
+    passes::runPipeline(ctx, "default");
     sim::SimProgram prog(ctx, "main");
     try {
         prog.findModel("xx"); // actual register is "x"
@@ -49,7 +49,7 @@ TEST(SimEdge, UnknownCellPathSuggestsClosest)
 TEST(SimEdge, UnknownPortPathSuggestsClosest)
 {
     Context ctx = testing::counterProgram(3, 2);
-    passes::compile(ctx);
+    passes::runPipeline(ctx, "default");
     sim::SimProgram prog(ctx, "main");
     try {
         prog.portId("x.outt");
@@ -198,16 +198,15 @@ TEST(SimEdge, SubComponentReinvocationInLoop)
         ComponentBuilder::seq(std::move(body))));
     mb.component().setControl(ComponentBuilder::seq(std::move(top)));
 
-    for (bool sensitive : {false, true}) {
+    for (const char *spec :
+         {"default", "all,-resource-sharing,-register-sharing"}) {
         Context copy = Parser::parseProgram(Printer::toString(ctx));
-        passes::CompileOptions opts;
-        opts.sensitive = sensitive;
-        passes::compile(copy, opts);
+        passes::runPipeline(copy, spec);
         sim::SimProgram sp(copy, "main");
         sim::CycleSim cs(sp);
         cs.run();
         EXPECT_EQ(*sp.findModel("p/acc")->registerValue(), 15u)
-            << "sensitive=" << sensitive;
+            << spec;
     }
 }
 

@@ -8,6 +8,9 @@ namespace {
 
 using passes::StaticPass;
 using testing::compiledReg;
+
+/** The default pipeline plus latency-sensitive compilation (§4.4). */
+constexpr const char *kSensitive = "all,-resource-sharing,-register-sharing";
 using testing::counterProgram;
 
 /** Two static register writes in sequence. */
@@ -79,10 +82,8 @@ TEST(StaticPass, ExactCycleCount)
     // A fully static program: compiled sensitively, the whole schedule
     // is one counter. Total = 2 work cycles + done handshake cycles.
     Context sensitive = staticSeqProgram();
-    passes::CompileOptions opts;
-    opts.sensitive = true;
     uint64_t cycles_sensitive = 0;
-    EXPECT_EQ(compiledReg(sensitive, "y", opts, &cycles_sensitive), 2u);
+    EXPECT_EQ(compiledReg(sensitive, "y", kSensitive, &cycles_sensitive), 2u);
 
     Context insensitive = staticSeqProgram();
     uint64_t cycles_insensitive = 0;
@@ -102,10 +103,8 @@ TEST(StaticPass, LoopBodyBecomesStatic)
     EXPECT_EQ(compiledReg(plain, "x", "default", &plain_cycles), 12u);
 
     Context fast = counterProgram(6, 2);
-    passes::CompileOptions opts;
-    opts.sensitive = true;
     uint64_t fast_cycles = 0;
-    EXPECT_EQ(compiledReg(fast, "x", opts, &fast_cycles), 12u);
+    EXPECT_EQ(compiledReg(fast, "x", kSensitive, &fast_cycles), 12u);
     EXPECT_LT(fast_cycles, plain_cycles);
 }
 
@@ -134,9 +133,7 @@ TEST(StaticPass, StaticIfSelectsBranch)
         // seq(set_f, if) = 1 + (1 + max(1, 1)) = 3.
         EXPECT_EQ(StaticPass::latencyOf(main.control(), main), 3);
 
-        passes::CompileOptions opts;
-        opts.sensitive = true;
-        EXPECT_EQ(compiledReg(ctx, "x", opts), flag ? 10u : 20u);
+        EXPECT_EQ(compiledReg(ctx, "x", kSensitive), flag ? 10u : 20u);
     }
 }
 
@@ -167,9 +164,7 @@ TEST(StaticPass, MixedStaticDynamicSqrt)
         return ctx;
     };
     Context ctx = build();
-    passes::CompileOptions opts;
-    opts.sensitive = true;
-    EXPECT_EQ(compiledReg(ctx, "r", opts), 42u);
+    EXPECT_EQ(compiledReg(ctx, "r", kSensitive), 42u);
     Context ctx2 = build();
     EXPECT_EQ(compiledReg(ctx2, "r", "default"), 42u);
 }
@@ -178,9 +173,7 @@ TEST(StaticPass, StaticRegionInsideLoopReArms)
 {
     // The static group's counter must reset between loop iterations.
     Context ctx = counterProgram(4, 5);
-    passes::CompileOptions opts;
-    opts.sensitive = true;
-    EXPECT_EQ(compiledReg(ctx, "x", opts), 20u);
+    EXPECT_EQ(compiledReg(ctx, "x", kSensitive), 20u);
 }
 
 } // namespace

@@ -88,7 +88,7 @@
 #include "obs/profile.h"
 #include "obs/report.h"
 #include "obs/vcd.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "passes/registry.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
