@@ -30,10 +30,13 @@
  * rows in BENCH_sim.json.
  *
  * Partitioned single-stimulus scaling (sim/partition.h,
- * SimState::setThreads) is measured on the systolic 4/16/32 dims at
- * threads 1/2/4 (benchPartitioned), written as the "partitioned" rows;
- * --check holds compiled 4-thread systolic_16x16 to >= 1.5x its
- * single-thread row on hosts with >= 4 cores (checkPartitioned).
+ * SimState::setThreads) is measured on the systolic 4/16/32 dims and
+ * on the narrow PolyBench kernel 2mm at threads 1/2/4
+ * (benchPartitioned), written as the "partitioned" rows; --check holds
+ * every threaded row to >= 0.95x its engine's single-thread row (a
+ * parallel path slower than serial is a bug) and compiled 4-thread
+ * systolic_16x16 to >= 1.5x its single-thread row on hosts with >= 4
+ * cores (checkPartitioned).
  *
  * Usage:
  *   bench_sim_engines [--small] [--check] [--reps N] [--out FILE]
@@ -47,7 +50,8 @@
  *                 fails (checkBatched: compiled batch-4096 >= 8x
  *                 batch-1 on gemm; levelized N-thread batch-64 >= 2x
  *                 single-thread on systolic_8x8 when the host has >= 2
- *                 cores)
+ *                 cores; threaded batch-1 >= 0.95x single-thread), or
+ *                 if a partitioned gate fails (checkPartitioned)
  *     --reps N    timing repetitions per engine (default 3)
  *     --out       output path (default BENCH_sim.json)
  *     --max-dim N skip systolic configurations larger than NxN
@@ -61,6 +65,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,20 +119,25 @@ struct EngineRun
 
 /** One partitioned single-stimulus measurement (sim/partition.h):
  * cycles/sec for one (engine, thread count) cell with the macro-task
- * plan active, best-of-reps like EngineRun. The threads-1 row runs the
- * classic scalar path and anchors the scaling comparison. */
+ * plan available, best-of-reps like EngineRun. The threads-1 row runs
+ * the classic scalar path and anchors the scaling comparison. */
 struct PartRow
 {
     std::string engine;
     unsigned threads = 1;
     int reps = 0;
-    uint64_t cycles = 0;
+    int runsPerRep = 1; ///< Back-to-back runs timed as one repetition.
+    uint64_t cycles = 0; ///< Per run.
     double best = 0; ///< Fastest single repetition, seconds.
+    /// Median over repetitions of this row's rate over the 1-thread
+    /// row's in the same round (pairedSpeedup); gated.
+    double speedup = 0;
 
     double
     cps() const
     {
-        return best > 0 ? static_cast<double>(cycles) / best : 0.0;
+        return best > 0 ? static_cast<double>(cycles) * runsPerRep / best
+                        : 0.0;
     }
 };
 
@@ -140,12 +150,18 @@ struct BatchRow
     unsigned threads = 1;
     uint32_t laneTile = 0;
     int reps = 0;
+    int runsPerRep = 1; ///< Back-to-back runs timed as one repetition.
     double best = 0; ///< Fastest single repetition, seconds.
+    /// Median over repetitions of this row's rate over the 1-thread
+    /// row's in the same round (pairedSpeedup); gated for batch 1.
+    double speedup = 0;
 
     double
     stimPerSec() const
     {
-        return best > 0 ? static_cast<double>(batchSize) / best : 0.0;
+        return best > 0
+                   ? static_cast<double>(batchSize) * runsPerRep / best
+                   : 0.0;
     }
 };
 
@@ -162,11 +178,32 @@ struct WorkloadResult
     double
     partCps(const std::string &engine, unsigned threads) const
     {
+        const PartRow *row = partRow(engine, threads);
+        return row ? row->cps() : 0.0;
+    }
+
+    /** The partitioned (engine, threads) row, or null. */
+    const PartRow *
+    partRow(const std::string &engine, unsigned threads) const
+    {
         for (const PartRow &row : partitioned) {
             if (row.engine == engine && row.threads == threads)
-                return row.cps();
+                return &row;
         }
-        return 0.0;
+        return nullptr;
+    }
+
+    /** The batched (engine, batch, threads) row, or null. */
+    const BatchRow *
+    batchRow(const std::string &engine, uint32_t batch,
+             unsigned threads) const
+    {
+        for (const BatchRow &row : batched) {
+            if (row.engine == engine && row.batchSize == batch &&
+                row.threads == threads)
+                return &row;
+        }
+        return nullptr;
     }
 
     /** stimuli/sec of the (engine, batch, threads) row, or 0. */
@@ -174,12 +211,8 @@ struct WorkloadResult
     batchStimPerSec(const std::string &engine, uint32_t batch,
                     unsigned threads) const
     {
-        for (const BatchRow &row : batched) {
-            if (row.engine == engine && row.batchSize == batch &&
-                row.threads == threads)
-                return row.stimPerSec();
-        }
-        return 0.0;
+        const BatchRow *row = batchRow(engine, batch, threads);
+        return row ? row->stimPerSec() : 0.0;
     }
 
     double
@@ -319,27 +352,62 @@ benchProgram(const std::string &name, sim::SimProgram &sp, int reps,
     return r;
 }
 
+/** Minimum timed span of one gated repetition: short runs (a 4x4
+ * systolic run is tens of microseconds compiled) repeat inside a
+ * repetition so that timer and scheduler noise stay well under the 5%
+ * the no-regression gates allow. */
+constexpr double partRepSeconds = 0.02;
+
+/** Minimum interleaved repetitions of a gated row. On a shared host the
+ * machine's speed drifts by up to 2x over seconds, and a best-of ratio
+ * or a ratio of medians between identical code paths swung by 10-18%.
+ * So each round times every thread count back to back (rotating which
+ * goes first), and the no-regression gates take the median over rounds
+ * of the rate ratio within a round (pairedSpeedup). */
+constexpr int partMinReps = 15;
+
+/**
+ * Median over rounds of (rate of `many`) / (rate of `one`), where
+ * `one[i]` and `many[i]` are the seconds of round i's repetitions of
+ * `runsOne` and `runsMany` runs: the ratio of two adjacent timings
+ * cancels the host's drift, and the median drops rounds a stall hit.
+ */
+double
+pairedSpeedup(const std::vector<double> &one, int runsOne,
+              const std::vector<double> &many, int runsMany)
+{
+    std::vector<double> ratios;
+    for (size_t i = 0; i < one.size() && i < many.size(); ++i) {
+        if (one[i] > 0 && many[i] > 0)
+            ratios.push_back((runsMany / many[i]) / (runsOne / one[i]));
+    }
+    if (ratios.empty())
+        return 0;
+    std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                     ratios.end());
+    return ratios[ratios.size() / 2];
+}
+
 /**
  * Batched-throughput rows (sim/batch.h): stimuli/sec per engine, batch
- * size, and thread count, appended to `r.batched`. One resident
- * BatchRunner per (engine, threads) pays schedule/JIT setup once —
- * exactly the `futil --serve` usage the rows are meant to predict.
+ * size, and thread count, appended to `r.batched`. A resident
+ * BatchRunner pays schedule/JIT setup in an untimed warmup — exactly
+ * the `futil --serve` usage the rows are meant to predict.
  * Batch sizes: 1/64/4096 on the compiled engine (the --check gate
  * holds 4096 to >= 8x the batch-1 rate on gemm, i.e. batching must
  * amortize the fixed lane width); the levelized interpreter stops at
  * 64 — its per-stimulus cost makes a 4096 batch minutes long without
- * saying anything new. Thread counts: 1, plus the host's hardware
- * concurrency when it is >= 2.
+ * saying anything new. Thread counts: 1, 2 and 4, timed interleaved
+ * (each repetition runs every thread count back to back). Batch-1
+ * rows, which --check holds to the no-regression gate, take at least
+ * partMinReps repetitions of at least partRepSeconds each. Rows are
+ * written batch-size-major within an engine.
  */
 void
 benchBatched(WorkloadResult &r, sim::SimProgram &sp,
              const sim::Stimulus &stim, int reps,
              const std::function<bool(sim::Engine)> &skip)
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    std::vector<unsigned> threadCfgs{1};
-    if (hw >= 2)
-        threadCfgs.push_back(hw);
     struct Cfg
     {
         sim::Engine e;
@@ -349,57 +417,116 @@ benchBatched(WorkloadResult &r, sim::SimProgram &sp,
         {sim::Engine::Compiled, {1, 64, 4096}},
         {sim::Engine::Levelized, {1, 64}},
     };
+    const std::vector<unsigned> threadCfgs{1, 2, 4};
     for (const Cfg &cfg : cfgs) {
         if (skip(cfg.e))
             continue;
-        for (unsigned th : threadCfgs) {
+        // A resident runner for one repetition, after an untimed warmup
+        // batch (JIT load, pool spin-up, allocator). Fresh per
+        // repetition for the reason benchPartitioned gives.
+        auto warmRunner = [&](unsigned th) {
             sim::BatchOptions bo;
             bo.engine = cfg.e;
             bo.threads = th;
-            sim::BatchRunner runner(sp, bo);
-            {
-                // Untimed warmup: JIT load, pool spin-up, allocator.
-                std::vector<sim::Stimulus> warm(1, stim);
-                runner.run(warm);
-            }
-            for (uint32_t b : cfg.batches) {
-                std::vector<sim::Stimulus> batchVec(b, stim);
+            auto runner = std::make_unique<sim::BatchRunner>(sp, bo);
+            runner->run(std::vector<sim::Stimulus>(1, stim));
+            return runner;
+        };
+        for (uint32_t size : cfg.batches) {
+            std::vector<sim::Stimulus> batchVec(size, stim);
+            auto timedRun = [&](sim::BatchRunner &runner) {
+                double start = now();
+                runner.run(batchVec);
+                return now() - start;
+            };
+            const bool gated = size == 1;
+            std::vector<BatchRow> rows;
+            for (unsigned th : threadCfgs) {
                 BatchRow row;
                 row.engine = sim::engineName(cfg.e);
-                row.batchSize = b;
+                row.batchSize = size;
                 row.threads = th;
-                row.laneTile = runner.options().laneTile;
-                row.reps = b >= 4096 ? std::min(reps, 2) : reps;
-                for (int i = 0; i < row.reps; ++i) {
-                    double start = now();
-                    runner.run(batchVec);
-                    double dt = now() - start;
+                row.reps = size >= 4096 ? std::min(reps, 2)
+                           : gated      ? std::max(reps, partMinReps)
+                                        : reps;
+                auto runner = warmRunner(th);
+                row.laneTile = runner->options().laneTile;
+                if (gated) {
+                    row.runsPerRep = static_cast<int>(std::clamp(
+                        std::ceil(partRepSeconds / timedRun(*runner)), 1.0,
+                        1e6));
+                }
+                rows.push_back(row);
+            }
+            std::vector<std::vector<double>> samples(rows.size());
+            for (int i = 0; i < rows[0].reps; ++i) {
+                for (size_t k = 0; k < rows.size(); ++k) {
+                    const size_t t = (k + i) % rows.size();
+                    BatchRow &row = rows[t];
+                    auto runner = warmRunner(row.threads);
+                    double dt = 0;
+                    for (int n = 0; n < row.runsPerRep; ++n)
+                        dt += timedRun(*runner);
+                    samples[t].push_back(dt);
                     if (row.best == 0 || dt < row.best)
                         row.best = dt;
                 }
-                r.batched.push_back(std::move(row));
+            }
+            for (size_t t = 0; t < rows.size(); ++t) {
+                rows[t].speedup = pairedSpeedup(
+                    samples[0], rows[0].runsPerRep, samples[t],
+                    rows[t].runsPerRep);
+                r.batched.push_back(std::move(rows[t]));
             }
         }
     }
 }
 
 /**
- * Partitioned single-stimulus scaling rows (sim/partition.h): one run
- * per (engine, thread count) with SimState::setThreads() active, for
- * threads 1/2/4 capped at the host's concurrency. Cycle counts are held
- * to the workload's agreed count — the rows double as a bit-identity
- * smoke for the partitioned path. The --check gate over these rows is
+ * Partitioned single-stimulus scaling rows (sim/partition.h): one
+ * CycleSim per (engine, thread count) with SimState::setThreads()
+ * active, for threads 1/2/4 minus counts above the host's cores. The
+ * compiled engine ignores the thread count (its plain module is the
+ * fastest it has), so its threaded rows hold that to the gate too.
+ * Every repetition builds a fresh simulator and warms it with an
+ * untimed run, so plan building and module binding stay out of the
+ * timing and the rows compare steady-state runs. Cycle counts and
+ * architectural state are held to the workload's agreed ones (or the
+ * first row's) — the rows double as a bit-identity smoke for the
+ * partitioned path. The --check gates over these rows are
  * checkPartitioned().
  */
 void
 benchPartitioned(WorkloadResult &r, sim::SimProgram &sp,
-                 const std::function<void()> &seed, int reps,
-                 const std::function<bool(sim::Engine)> &skip)
+                 const std::function<void()> &seed,
+                 const std::function<std::vector<std::vector<uint64_t>>()>
+                     &state,
+                 int reps, const std::function<bool(sim::Engine)> &skip)
 {
     unsigned hw = std::thread::hardware_concurrency();
+    std::vector<std::vector<uint64_t>> agreed;
     for (sim::Engine e : {sim::Engine::Levelized, sim::Engine::Compiled}) {
         if (skip(e))
             continue;
+        // A simulator for one repetition of a row, after an untimed
+        // warmup run: partition plan build, (compiled) module binding,
+        // pool spin-up. Each repetition gets a fresh one: a simulator
+        // reused by every run of a row keeps one memory layout, and
+        // layouts alone moved identical compiled runs by 10%.
+        auto warmSim = [&](unsigned th) {
+            auto cs = std::make_unique<sim::CycleSim>(sp, e);
+            cs->state().setThreads(th);
+            seed();
+            uint64_t cycles = cs->run();
+            return std::make_pair(std::move(cs), cycles);
+        };
+        auto timedRun = [&](sim::CycleSim &cs) {
+            seed();
+            double start = now();
+            cs.run();
+            return now() - start;
+        };
+        std::vector<PartRow> rows;
         for (unsigned th : {1u, 2u, 4u}) {
             if (th > 1 && th > hw)
                 continue;
@@ -407,31 +534,50 @@ benchPartitioned(WorkloadResult &r, sim::SimProgram &sp,
             row.engine = sim::engineName(e);
             row.threads = th;
             row.reps = reps;
-
-            // Untimed warmup: partition plan build, (compiled) the
-            // partitioned module's JIT, pool spin-up — plus the
-            // identity check against the engines' agreed cycle count.
-            seed();
-            sim::CycleSim warm(sp, e);
-            warm.state().setThreads(th);
-            row.cycles = warm.run();
-            if (r.cycles != 0 && row.cycles != r.cycles) {
-                fatal(r.name, ": partitioned cycle mismatch (",
-                      row.engine, " x", th, "=", row.cycles,
-                      ", expected ", r.cycles, ")");
+            // Identity check against the agreed cycles and state.
+            auto [cs, cycles] = warmSim(th);
+            row.cycles = cycles;
+            if (r.cycles == 0)
+                r.cycles = row.cycles;
+            if (row.cycles != r.cycles) {
+                fatal(r.name, ": partitioned cycle mismatch (", row.engine,
+                      " x", th, "=", row.cycles, ", expected ", r.cycles,
+                      ")");
             }
+            if (agreed.empty()) {
+                agreed = state();
+            } else if (state() != agreed) {
+                fatal(r.name, ": partitioned state mismatch (", row.engine,
+                      " x", th, ")");
+            }
+            row.runsPerRep = static_cast<int>(std::clamp(
+                std::ceil(partRepSeconds / timedRun(*cs)), 1.0, 1e6));
+            rows.push_back(row);
+        }
 
-            for (int i = 0; i < reps; ++i) {
-                seed();
-                sim::CycleSim cs(sp, e);
-                cs.state().setThreads(th);
-                double start = now();
-                cs.run();
-                double dt = now() - start;
+        // Interleaved repetitions: each round times every thread count
+        // back to back (rotating which goes first), so a threaded row
+        // and the single-thread row it is gated against see the same
+        // host conditions (the pairing the observed row uses).
+        std::vector<std::vector<double>> samples(rows.size());
+        for (int i = 0; i < reps; ++i) {
+            for (size_t k = 0; k < rows.size(); ++k) {
+                const size_t t = (k + i) % rows.size();
+                PartRow &row = rows[t];
+                auto cs = warmSim(row.threads).first;
+                double dt = 0;
+                for (int n = 0; n < row.runsPerRep; ++n)
+                    dt += timedRun(*cs);
+                samples[t].push_back(dt);
                 if (row.best == 0 || dt < row.best)
                     row.best = dt;
             }
-            r.partitioned.push_back(std::move(row));
+        }
+        for (size_t t = 0; t < rows.size(); ++t) {
+            rows[t].speedup =
+                pairedSpeedup(samples[0], rows[0].runsPerRep, samples[t],
+                              rows[t].runsPerRep);
+            r.partitioned.push_back(std::move(rows[t]));
         }
     }
 }
@@ -482,17 +628,26 @@ benchSystolic(int dim, int reps, const std::function<bool(sim::Engine)> &skip)
         benchBatched(r, sp, stim, reps, skip_dim);
     }
     // Partitioned scaling rows on the gate dims (16/32) and on the
-    // small-mode 4x4 so the CI smoke exercises the partitioned path.
+    // small-mode 4x4 so the CI smoke exercises the partitioned path
+    // under the no-regression gate.
     if (dim == 4 || dim == 16 || dim == 32) {
-        benchPartitioned(r, sp, seed, dim >= singleRepDim ? 1 : reps,
+        benchPartitioned(r, sp, seed, state,
+                         dim >= singleRepDim ? 1
+                                             : std::max(reps, partMinReps),
                          skip_dim);
     }
     return r;
 }
 
+/**
+ * One PolyBench kernel: every engine, batched rows, and — for 2mm, the
+ * narrow FSM kernel on which partitioning loses — partitioned rows. The
+ * small (CI smoke) configuration runs 2mm's partitioned rows alone, so
+ * the no-regression gate sees a narrow kernel there too.
+ */
 WorkloadResult
 benchKernel(const std::string &name, int reps,
-            const std::function<bool(sim::Engine)> &skip)
+            const std::function<bool(sim::Engine)> &skip, bool small)
 {
     const workloads::Kernel &k = workloads::kernel(name);
     dahlia::Program prog = dahlia::parse(k.source);
@@ -509,9 +664,21 @@ benchKernel(const std::string &name, int reps,
             flat.push_back(data);
         return flat;
     };
+    if (small && name == "2mm") {
+        WorkloadResult r;
+        r.name = name;
+        r.runs.assign(sim::engineInfos().size(), {});
+        benchPartitioned(r, sp, seed, state, std::max(reps, partMinReps),
+                         skip);
+        return r;
+    }
     WorkloadResult r = benchProgram(name, sp, reps, seed, state, skip);
     benchBatched(r, sp, workloads::makeStimulus(prog, inputs), reps,
                  skip);
+    if (name == "2mm") {
+        benchPartitioned(r, sp, seed, state, std::max(reps, partMinReps),
+                         skip);
+    }
     return r;
 }
 
@@ -571,10 +738,12 @@ writeJson(const std::string &path,
                     buf, sizeof buf,
                     "       {\"engine\": \"%s\", \"batch\": %u, "
                     "\"threads\": %u, \"lane_tile\": %u, \"reps\": %d, "
-                    "\"best_seconds\": %.6f, "
+                    "\"runs_per_rep\": %d, \"best_seconds\": %.6f, "
+                    "\"speedup_vs_1_thread\": %.3f, "
                     "\"stimuli_per_sec\": %.1f}%s\n",
                     row.engine.c_str(), row.batchSize, row.threads,
-                    row.laneTile, row.reps, row.best, row.stimPerSec(),
+                    row.laneTile, row.reps, row.runsPerRep, row.best,
+                    row.speedup, row.stimPerSec(),
                     b + 1 < r.batched.size() ? "," : "");
                 out << buf;
             }
@@ -587,10 +756,12 @@ writeJson(const std::string &path,
                 std::snprintf(
                     buf, sizeof buf,
                     "       {\"engine\": \"%s\", \"threads\": %u, "
-                    "\"reps\": %d, \"best_seconds\": %.6f, "
+                    "\"reps\": %d, \"runs_per_rep\": %d, "
+                    "\"best_seconds\": %.6f, \"speedup_vs_1_thread\": %.3f, "
                     "\"cycles_per_sec\": %.0f}%s\n",
-                    row.engine.c_str(), row.threads, row.reps, row.best,
-                    row.cps(), p + 1 < r.partitioned.size() ? "," : "");
+                    row.engine.c_str(), row.threads, row.reps,
+                    row.runsPerRep, row.best, row.speedup, row.cps(),
+                    p + 1 < r.partitioned.size() ? "," : "");
                 out << buf;
             }
             out << "     ],\n";
@@ -667,6 +838,11 @@ checkBaseline(const std::string &path,
  *     hardware threads must be >= 2x the single-thread rate. Skipped
  *     (with a note) on single-core hosts, where no multi-thread rows
  *     exist to compare.
+ *  3. No regression: every threaded batch-1 row (a single tile, so
+ *     its threads move inside the tile; BatchOptions::threads) must be
+ *     >= 0.95x its engine's single-thread batch-1 row on the same
+ *     workload. Rows whose thread count exceeds the host's cores are
+ *     not gated.
  *
  * Returns the number of failed gates.
  */
@@ -699,6 +875,19 @@ checkBatched(const std::vector<WorkloadResult> &results)
                 ++failures;
             }
         }
+        for (const BatchRow &row : r.batched) {
+            if (row.batchSize != 1 || row.threads <= 1 || row.threads > hw)
+                continue;
+            if (row.speedup > 0 && row.speedup < 0.95) {
+                std::fprintf(stderr,
+                             "FAIL %s: %s batch-1 with %u threads runs at "
+                             "%.3fx single-thread (median paired ratio), "
+                             "under 0.95x\n",
+                             r.name.c_str(), row.engine.c_str(),
+                             row.threads, row.speedup);
+                ++failures;
+            }
+        }
     }
     if (hw < 2)
         std::printf("note: single-core host; thread-scaling gate "
@@ -707,25 +896,48 @@ checkBatched(const std::vector<WorkloadResult> &results)
 }
 
 /**
- * --check gate on the partitioned single-stimulus rows: on
- * systolic_16x16 the compiled engine at 4 threads must deliver >= 1.5x
- * the cycles/sec of its single-thread row. Auto-skipped (with a note)
- * on hosts with fewer than 4 cores, where the 4-thread row either does
- * not exist or times oversubscribed spinning rather than scaling; also
- * vacuous when the workload or the compiled engine did not run (--small
- * stops at 4x4, toolchain-free hosts skip compiled).
+ * --check gates on the partitioned single-stimulus rows:
+ *
+ *  1. No regression: every threaded row must deliver >= 0.95x the
+ *     cycles/sec of its own engine's single-thread row on the same
+ *     workload — `--threads N` is an upper bound, and the runner must
+ *     fall back to serial where parallel loses. Rows whose thread
+ *     count exceeds the host's cores are never run (benchPartitioned),
+ *     so only they go ungated; every other row is held on every host.
+ *  2. Scaling: on systolic_16x16 the compiled engine at 4 threads must
+ *     deliver >= 1.5x its single-thread row. Auto-skipped (with a
+ *     note) on hosts with fewer than 4 cores; vacuous when the
+ *     workload or the compiled engine did not run (--small has no
+ *     16x16, toolchain-free hosts skip compiled). It fails while the
+ *     compiled engine ignores the thread count (ROADMAP.md).
  */
 int
 checkPartitioned(const std::vector<WorkloadResult> &results)
 {
     unsigned hw = std::thread::hardware_concurrency();
-    if (hw < 4) {
-        std::printf("note: host has %u core(s); partitioned-scaling "
-                    "gate needs 4, skipped\n",
-                    hw);
-        return 0;
-    }
     int failures = 0;
+    for (const WorkloadResult &r : results) {
+        for (const PartRow &row : r.partitioned) {
+            if (row.threads <= 1 || row.speedup <= 0)
+                continue;
+            if (row.speedup < 0.95) {
+                std::fprintf(stderr,
+                             "FAIL %s: %s partitioned %u-thread runs at "
+                             "%.3fx single-thread (median paired ratio), "
+                             "under 0.95x\n",
+                             r.name.c_str(), row.engine.c_str(),
+                             row.threads, row.speedup);
+                ++failures;
+            }
+        }
+    }
+    if (hw < 4) {
+        std::printf("note: host has %u core(s); rows above %u threads "
+                    "not run, partitioned-scaling gate needs 4, "
+                    "skipped\n",
+                    hw, hw);
+        return failures;
+    }
     for (const WorkloadResult &r : results) {
         if (r.name != "systolic_16x16")
             continue;
@@ -809,8 +1021,9 @@ main(int argc, char **argv)
     if (max_dim > 0)
         std::erase_if(dims, [max_dim](int d) { return d > max_dim; });
     std::vector<std::string> kernels =
-        small ? std::vector<std::string>{"gemm", "atax"}
-              : std::vector<std::string>{"gemm", "atax", "mvt", "bicg"};
+        small ? std::vector<std::string>{"gemm", "atax", "2mm"}
+              : std::vector<std::string>{"gemm", "atax", "mvt", "bicg",
+                                         "2mm"};
 
     std::printf("=== simulation engines:");
     for (const auto &info : engines)
@@ -826,7 +1039,7 @@ main(int argc, char **argv)
         for (int dim : dims)
             results.push_back(benchSystolic(dim, reps, skip));
         for (const std::string &k : kernels)
-            results.push_back(benchKernel(k, reps, skip));
+            results.push_back(benchKernel(k, reps, skip, small));
     } catch (const Error &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
@@ -848,16 +1061,17 @@ main(int argc, char **argv)
         std::printf("\n");
         for (const auto &row : r.batched) {
             std::printf("  batched %-9s batch %4u x%u thread%s "
-                        "(tile %2u): %10.1f stimuli/s\n",
+                        "(tile %2u): %10.1f stimuli/s (%.3fx paired)\n",
                         row.engine.c_str(), row.batchSize, row.threads,
                         row.threads == 1 ? " " : "s", row.laneTile,
-                        row.stimPerSec());
+                        row.stimPerSec(), row.speedup);
         }
         for (const auto &row : r.partitioned) {
             std::printf("  partitioned %-9s x%u thread%s: "
-                        "%12.0f cycles/s\n",
+                        "%12.0f cycles/s (%.3fx paired)\n",
                         row.engine.c_str(), row.threads,
-                        row.threads == 1 ? " " : "s", row.cps());
+                        row.threads == 1 ? " " : "s", row.cps(),
+                        row.speedup);
         }
         double cl = r.speedup(comp, lev);
         if (cl > 0 && cl < 1.0)

@@ -17,11 +17,11 @@ namespace calyx::passes {
 void
 RegisterSharing::runOnComponent(Component &comp, Context &)
 {
-    mergedCount = 0;
-
     std::set<Symbol> regs = analysis::registerCells(comp);
-    if (regs.size() < 2)
+    if (regs.size() < 2) {
+        mergedCount.store(0, std::memory_order_relaxed);
         return;
+    }
     std::set<Symbol> always_live = analysis::alwaysLiveRegisters(comp);
 
     auto access = analysis::registerAccess(comp);
@@ -45,6 +45,7 @@ RegisterSharing::runOnComponent(Component &comp, Context &)
     };
 
     std::unordered_map<Symbol, Symbol> mapping;
+    int merged = 0;
     for (const auto &[width, cells] : buckets) {
         (void)width;
         if (cells.size() < 2)
@@ -53,10 +54,11 @@ RegisterSharing::runOnComponent(Component &comp, Context &)
         for (const auto &[from, to] : colored) {
             if (from != to) {
                 mapping.emplace(from, to);
-                ++mergedCount;
+                ++merged;
             }
         }
     }
+    mergedCount.store(merged, std::memory_order_relaxed);
     if (mapping.empty())
         return;
 

@@ -1,6 +1,8 @@
 #ifndef CALYX_PASSES_REGISTER_SHARING_H
 #define CALYX_PASSES_REGISTER_SHARING_H
 
+#include <atomic>
+
 #include "passes/pass_manager.h"
 
 namespace calyx::passes {
@@ -26,10 +28,17 @@ class RegisterSharing final : public Pass
     void runOnComponent(Component &comp, Context &ctx) override;
 
     /** Number of registers merged away in the last run. */
-    int merged() const { return mergedCount; }
+    int
+    merged() const
+    {
+        return mergedCount.load(std::memory_order_relaxed);
+    }
 
   private:
-    int mergedCount = 0;
+    /// Published once per runOnComponent from a local count: the pass
+    /// object is shared by components the pass manager runs
+    /// concurrently.
+    std::atomic<int> mergedCount{0};
 };
 
 } // namespace calyx::passes

@@ -60,8 +60,6 @@ rewriteControlPorts(Control &ctrl,
 void
 ResourceSharing::runOnComponent(Component &comp, Context &ctx)
 {
-    mergedCount = 0;
-
     // Shareable cells, bucketed by signature.
     std::unordered_set<Symbol> shareable;
     std::map<Symbol, std::vector<Symbol>> buckets;
@@ -88,8 +86,10 @@ ResourceSharing::runOnComponent(Component &comp, Context &ctx)
             sig += "_" + std::to_string(p);
         buckets[Symbol(sig)].push_back(cell->name());
     }
-    if (shareable.empty())
+    if (shareable.empty()) {
+        mergedCount.store(0, std::memory_order_relaxed);
         return;
+    }
 
     // Which groups use which shareable cells.
     std::unordered_map<Symbol, std::set<Symbol>> cells_of_group;
@@ -175,16 +175,18 @@ ResourceSharing::runOnComponent(Component &comp, Context &ctx)
         return cell_conflicts.count(analysis::symbolPairKey(a, b)) > 0;
     };
     std::unordered_map<Symbol, Symbol> mapping;
+    int merged = 0;
     for (const auto &[sig, cells] : buckets) {
         (void)sig;
         auto colored = analysis::greedyColor(cells, conflict);
         for (const auto &[from, to] : colored) {
             if (from != to) {
                 mapping.emplace(from, to);
-                ++mergedCount;
+                ++merged;
             }
         }
     }
+    mergedCount.store(merged, std::memory_order_relaxed);
     if (mapping.empty())
         return;
 

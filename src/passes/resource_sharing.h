@@ -1,6 +1,8 @@
 #ifndef CALYX_PASSES_RESOURCE_SHARING_H
 #define CALYX_PASSES_RESOURCE_SHARING_H
 
+#include <atomic>
+
 #include "passes/pass_manager.h"
 
 namespace calyx::passes {
@@ -39,11 +41,18 @@ class ResourceSharing final : public Pass
     void runOnComponent(Component &comp, Context &ctx) override;
 
     /** Number of cells merged away in the last run (for reporting). */
-    int merged() const { return mergedCount; }
+    int
+    merged() const
+    {
+        return mergedCount.load(std::memory_order_relaxed);
+    }
 
   private:
     Width minWidth;
-    int mergedCount = 0;
+    /// Published once per runOnComponent from a local count: the pass
+    /// object is shared by components the pass manager runs
+    /// concurrently.
+    std::atomic<int> mergedCount{0};
 };
 
 } // namespace calyx::passes

@@ -93,19 +93,15 @@ BatchRunner::BatchRunner(const SimProgram &program, const BatchOptions &o)
 
 BatchRunner::~BatchRunner() = default;
 
-std::shared_ptr<CompiledModule>
-BatchRunner::moduleFor(uint32_t lanes, uint32_t partitions)
+const CompiledModule &
+BatchRunner::laneModule()
 {
-    auto key = std::make_pair(lanes, partitions);
-    auto it = modules.find(key);
-    if (it != modules.end())
-        return it->second;
-    auto mod = CompiledModule::load(*prog, /*probe=*/false, lanes,
-                                    partitions);
-    ++loads;
-    allFromCache = allFromCache && mod->fromCache();
-    modules.emplace(key, mod);
-    return mod;
+    if (!module) {
+        module = CompiledModule::load(*prog, /*probe=*/false, opts.laneTile);
+        ++loads;
+        allFromCache = allFromCache && module->fromCache();
+    }
+    return *module;
 }
 
 std::vector<std::vector<uint64_t>>
@@ -141,7 +137,6 @@ void
 BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
                              size_t start, size_t count, uint32_t lanes,
                              const CompiledModule &mod,
-                             PartitionRunner *runner,
                              std::vector<LaneResult> &out)
 {
     const size_t np = prog->numPorts();
@@ -194,16 +189,7 @@ BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
                   " cycles with ", liveCount, " of ", lanes,
                   " lanes unfinished");
         }
-        // Partitioned settle: the runner walks the module's macro-task
-        // plan across the pool; error() on a partitioned module
-        // aggregates every task's private slot after the join.
-        if (runner) {
-            runner->run([&](uint32_t task, unsigned) {
-                mod.evalPartition(inst.inst, vals.data(), task);
-            });
-        } else {
-            mod.eval(inst.inst, vals.data());
-        }
+        mod.eval(inst.inst, vals.data());
         if (const char *e = mod.error(inst.inst))
             fatal("compiled engine: ", e);
         // done is sampled where CycleSim samples it: after the settle,
@@ -291,19 +277,25 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             queue.push(n);
         }
     };
-    if (!runner) {
+    // Every node is dirty in the first cycle, and again in the first
+    // serial cycle after a partitioned one (whose edge seeds nothing).
+    auto seedAll = [&] {
         for (uint32_t n = 0; n < numNodes; ++n) {
-            inQueue[n] = 1;
-            queue.push(n);
+            if (!inQueue[n]) {
+                inQueue[n] = 1;
+                queue.push(n);
+            }
         }
-    }
+    };
+    seedAll();
 
     // Driver priority mirrors SimState::evalPort: active assignment
     // beats the go force beats model output beats zero. `tmpBlock` is
-    // a np*K scratch block for evalComb results — the shared `tmp` on
+    // a np*K scratch block for evalOutput results — the shared `tmp` on
     // the serial path, a worker-private block under the partition
-    // runner (evalComb writes every output of a model, so concurrent
-    // tasks sharing one block would race on ports they do not own).
+    // runner (evalOutput may write every output of a model, so
+    // concurrent tasks sharing one block would race on ports they do
+    // not own).
     auto evalPort = [&](size_t l, uint32_t p, bool check,
                         uint64_t *tmpBlock) -> uint64_t {
         uint64_t *base = vals.data() + l * np;
@@ -327,7 +319,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
         int32_t mi = P.portModelIdx[p];
         if (mi >= 0) {
             uint64_t *tb = tmpBlock + l * np;
-            models[l][mi]->evalComb(base, tb);
+            models[l][mi]->evalOutput(base, tb, p);
             return tb[p];
         }
         return 0;
@@ -460,28 +452,42 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
         }
     };
 
-    // Worker-private evalComb scratch blocks for the partition runner.
+    // Worker-private evalOutput scratch blocks for the partition runner,
+    // allocated by the first parallel cycle (a run that stays serial
+    // allocates exactly what a single-thread run does).
     std::vector<std::vector<uint64_t>> wscratch;
-    if (runner) {
-        wscratch.assign(innerPlan->threads,
-                        std::vector<uint64_t>(size_t(np) * K, 0));
-    }
 
     const auto &stateful = sched.statefulModels();
     uint64_t cycles = 0;
+    WorkPool::Crew crew; // Engaged by the first parallel cycle.
+    bool parallelCycle = false;
+    if (runner)
+        runner->restart();
     while (liveCount) {
         if (++cycles > opts.maxCycles) {
             fatal("batched simulation exceeded ", opts.maxCycles,
                   " cycles with ", liveCount, " of ", K,
                   " lanes unfinished");
         }
-        if (runner) {
-            runner->run([&](uint32_t task, unsigned worker) {
-                uint64_t *blk = wscratch[worker].data();
-                for (uint32_t n : innerPlan->tasks[task].nodes)
-                    evalNodeFull(n, blk);
-            });
+        // The runner picks each cycle's walk: the partition on the
+        // tile's crew, or (serial) the dirty-cone queue below.
+        const bool wasParallel = parallelCycle;
+        parallelCycle = runner && runner->beginCycle(&crew);
+        if (parallelCycle) {
+            if (wscratch.empty()) {
+                wscratch.assign(innerPlan->threads,
+                                std::vector<uint64_t>(size_t(np) * K, 0));
+            }
+            runner->run(
+                [&](uint32_t task, unsigned worker) {
+                    uint64_t *blk = wscratch[worker].data();
+                    for (uint32_t n : innerPlan->tasks[task].nodes)
+                        evalNodeFull(n, blk);
+                },
+                &crew);
         } else {
+            if (wasParallel)
+                seedAll();
             while (!queue.empty()) {
                 uint32_t n = queue.top();
                 queue.pop();
@@ -499,7 +505,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             // Seed the next cycle's queue from stateful outputs that
             // moved at the edge (union over lanes). The partitioned
             // walk re-evaluates the full schedule, so it needs no seed.
-            if (!runner) {
+            if (!parallelCycle) {
                 uint64_t *tb = tmp.data() + l * np;
                 for (size_t i = 0; i < stateful.size(); ++i) {
                     models[l][P.statefulIdx[i]]->evalComb(base, tb);
@@ -538,31 +544,17 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
 
     if (opts.engine == Engine::Compiled) {
         // Fixed lane width (see BatchOptions::laneTile): the one
-        // resident module runs every batch, padding short tiles.
+        // resident module runs every batch, padding short tiles. A
+        // single tile runs on the caller (the parallelFor over one item
+        // is serial).
         const uint32_t L = opts.laneTile;
         const size_t nTiles = (B + L - 1) / L;
-        // Single-tile batches move the threads inside the tile (see
-        // BatchOptions::threads): a partitioned module plus its
-        // macro-task runner, running on the caller since the outer
-        // parallelFor over one tile is serial.
-        const unsigned inner =
-            opts.threads > 1 && nTiles == 1 ? opts.threads : 1;
-        auto mod = moduleFor(L, inner > 1 ? partitionTarget() : 0);
-        PartitionRunner *runner = nullptr;
-        if (inner > 1 && mod->numPartitions() > 1) {
-            if (!innerPlan) {
-                innerPlan = std::make_unique<PartitionPlan>(
-                    mod->partitionPlan(inner));
-                innerRunner = std::make_unique<PartitionRunner>(*innerPlan);
-            }
-            runner = innerRunner.get();
-        }
+        const CompiledModule &mod = laneModule();
         WorkPool::global().parallelFor(
             nTiles, opts.threads, [&](size_t t) {
                 size_t startIdx = t * L;
                 size_t count = std::min<size_t>(L, B - startIdx);
-                runCompiledTile(batch, startIdx, count, L, *mod, runner,
-                                out);
+                runCompiledTile(batch, startIdx, count, L, mod, out);
             });
     } else {
         const uint32_t L =

@@ -42,13 +42,16 @@ struct BatchOptions
     Engine engine = Engine::Compiled;
     /**
      * Worker threads. Normally tiles are spread over them (1 = run on
-     * the caller); when a batch has a single tile (notably batch size
-     * 1 — a serve run request) the threads move *inside* the tile
-     * instead, running the macro-task partition plan (sim/partition.h)
-     * so a lone stimulus still uses the machine. The two levels never
-     * stack: inner partitioning engages only when the outer tile loop
-     * is serial, so occupancy stays at `threads` either way (see
-     * docs/simulation.md "Partitioned execution").
+     * the caller); when a levelized batch has a single tile (notably
+     * batch size 1 — a serve run request) the threads move *inside*
+     * the tile instead, running the macro-task partition plan
+     * (sim/partition.h) so a lone stimulus still uses the machine
+     * where that measures faster than one thread (the plan's runner
+     * decides per run, on a crew held for the tile's loop). A compiled
+     * single-tile batch runs the plain lane module on the caller. The
+     * two levels never stack: inner partitioning engages only when the
+     * outer tile loop is serial, so occupancy stays at `threads`
+     * either way (see docs/simulation.md "Partitioned execution").
      */
     unsigned threads = 1;
     /**
@@ -139,13 +142,12 @@ class BatchRunner
     void runCompiledTile(const std::vector<Stimulus> &batch, size_t start,
                          size_t count, uint32_t lanes,
                          const CompiledModule &mod,
-                         PartitionRunner *runner,
                          std::vector<LaneResult> &out);
     void runLevelizedTile(const std::vector<Stimulus> &batch, size_t start,
                           size_t count, PartitionRunner *runner,
                           std::vector<LaneResult> &out);
-    std::shared_ptr<CompiledModule> moduleFor(uint32_t lanes,
-                                              uint32_t partitions);
+    /** The lane module at opts.laneTile lanes, loaded once. */
+    const CompiledModule &laneModule();
 
     /// Per-memory-slot lane image for one stimulus (resolved indices).
     std::vector<std::vector<uint64_t>> seedImages(const Stimulus &s) const;
@@ -159,16 +161,15 @@ class BatchRunner
     std::vector<uint64_t> memSizes;
     std::map<std::string, size_t> memSlotByPath;
 
-    /// JIT modules by (lanes, partitions) shape.
-    std::map<std::pair<uint32_t, uint32_t>, std::shared_ptr<CompiledModule>>
-        modules;
+    std::shared_ptr<CompiledModule> module; ///< Compiled engine only.
     uint64_t loads = 0;
     bool allFromCache = true;
 
     std::unique_ptr<LevelizedPlan> plan; ///< Levelized engine only.
 
-    /// Intra-tile macro-task plan, built lazily the first time a run
-    /// has a single tile and threads > 1 (see BatchOptions::threads).
+    /// Intra-tile macro-task plan (levelized), built lazily the first
+    /// time a run has a single tile and threads > 1 (see
+    /// BatchOptions::threads).
     std::unique_ptr<PartitionPlan> innerPlan;
     std::unique_ptr<PartitionRunner> innerRunner;
 };

@@ -25,6 +25,7 @@ CycleSim::run(uint64_t max_cycles)
 {
     stateVal.reset();
     const SimProgram::Instance &top = prog->root();
+    SimState::CrewScope crew(stateVal);
 
     uint64_t cycles = 0;
     while (true) {

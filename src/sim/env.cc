@@ -345,17 +345,8 @@ SimProgram::schedule() const
 }
 
 std::shared_ptr<CompiledModule>
-SimProgram::compiledModule(bool probe, uint32_t partitions) const
+SimProgram::compiledModule(bool probe) const
 {
-    if (partitions > 1) {
-        // The partitioned variant is never probed: observers are
-        // notified host-side after the partitions join, so one module
-        // serves observed and unobserved partitioned runs alike.
-        if (!compiledPart)
-            compiledPart =
-                CompiledModule::load(*this, false, 1, partitions);
-        return compiledPart;
-    }
     auto &slot = compiled[probe ? 1 : 0];
     if (!slot)
         slot = CompiledModule::load(*this, probe);
@@ -615,6 +606,9 @@ SimState::reset()
     activationCalls.clear();
     prevActivationCalls.clear();
     prevForces.clear();
+    parallelCycle = false;
+    if (partRunner)
+        partRunner->restart();
     // Zero the generated module's internal state (done pulses, pipe
     // countdowns) and re-write constant-folded port values.
     if (compiledInst)
@@ -660,13 +654,7 @@ SimState::setThreads(unsigned n)
     partPlan.reset();
     partRunner.reset();
     workerScratch.clear();
-    if (compiledInst) {
-        // The partitioned and plain generated modules are distinct;
-        // drop the bound instance so the next comb() reloads the right
-        // variant (callers set threads before the first comb()).
-        compiledMod->freeInstance(compiledInst);
-        compiledInst = nullptr;
-    }
+    parallelCycle = false;
 }
 
 int
@@ -678,7 +666,8 @@ SimState::comb()
         evals = combJacobi();
         break;
       case Engine::Levelized:
-        evals = threadsVal > 1 ? combPartitioned() : combLevelized();
+        evals = threadsVal > 1 && partitionedCycle() ? combPartitioned()
+                                                     : combLevelized();
         break;
       case Engine::Compiled:
         evals = combCompiled();
@@ -704,7 +693,7 @@ void
 SimState::addObserver(obs::SimObserver *observer)
 {
     observerList.push_back(observer);
-    if (compiledInst && !compiledProbe && threadsVal <= 1) {
+    if (compiledInst && !compiledProbe) {
         // A plain (probe-free) module is already bound; drop it so the
         // next comb() reloads the probed variant.
         compiledMod->freeInstance(compiledInst);
@@ -738,21 +727,12 @@ SimState::ensureCompiled()
 {
     if (compiledInst)
         return;
-    // Partitioned runs never use the probed module: observers are
-    // notified host-side after the partitions join (comb() calls
-    // notifySettled when compiledProbe is false), which is also the
-    // single deterministic drain point --trace/--profile rely on.
-    uint32_t partitions =
-        threadsVal > 1 ? partitionTarget() : 0;
-    bool want_probe = !observerList.empty() && partitions <= 1;
-    compiledMod = prog->compiledModule(want_probe, partitions);
+    // The thread count plays no part: the plain module's eval()
+    // outruns the partitioned module's, serially and in parallel
+    // (docs/simulation.md, "Partitioned execution").
+    bool want_probe = !observerList.empty();
+    compiledMod = prog->compiledModule(want_probe);
     compiledProbe = want_probe && compiledMod->hasProbe();
-
-    if (partitions > 1 && compiledMod->numPartitions() > 1) {
-        partPlan = std::make_unique<PartitionPlan>(
-            compiledMod->partitionPlan(threadsVal));
-        partRunner = std::make_unique<PartitionRunner>(*partPlan);
-    }
 
     // Bind the generated instance's register and memory state to the
     // PrimModel objects' own storage (model order on both sides), so
@@ -827,18 +807,6 @@ SimState::combCompiled()
                   prog->portName(port));
         }
         vals[port] = value;
-    }
-
-    if (threadsVal > 1 && partRunner) {
-        // Each partition entry point reads only ports its dependency
-        // partitions (or earlier cycles) wrote and writes only its own
-        // ports; the runner's stamp protocol publishes those writes in
-        // dependency order, so the result is bit-identical to eval().
-        partRunner->run([&](uint32_t task, unsigned) {
-            compiledMod->evalPartition(compiledInst, vals.data(), task);
-        });
-        checkCompiledError();
-        return static_cast<int>(compiledMod->numPartitions());
     }
 
     compiledMod->eval(compiledInst, vals.data());
@@ -972,10 +940,9 @@ SimState::evalPort(uint32_t port, bool check_conflicts,
     if (forcedStamp[port] == stamp)
         return forcedVal[port];
     if (PrimModel *m = sched->modelOf(port)) {
-        // evalComb writes every output of the model into the scratch
-        // plane, so concurrent partitioned workers each get their own
+        // Concurrent partitioned workers each get their own scratch
         // plane (workerScratch) instead of sharing `tmp`.
-        m->evalComb(vals.data(), scratch);
+        m->evalOutput(vals.data(), scratch, port);
         return scratch[port];
     }
     return 0;
@@ -1121,12 +1088,23 @@ SimState::evalNodeFull(uint32_t node_index, uint64_t *scratch)
         evalPort(mem[i], true, scratch);
 }
 
-int
-SimState::combPartitioned()
+bool
+SimState::partitionedCycle()
 {
     bindSchedule();
     ensurePartitioned();
+    bool par = partRunner->beginCycle(crew);
+    // The partitioned walk's clock edge does not seed the dirty queue,
+    // so a serial cycle after a parallel one walks everything.
+    if (parallelCycle && !par)
+        activationValid = false;
+    parallelCycle = par;
+    return par;
+}
 
+int
+SimState::combPartitioned()
+{
     ++stamp;
     for (const auto &[port, value] : forces) {
         forcedVal[port] = value;
@@ -1147,11 +1125,13 @@ SimState::combPartitioned()
     }
 
     const PartitionPlan &p = *partPlan;
-    partRunner->run([&](uint32_t task, unsigned worker) {
-        uint64_t *scratch = workerScratch[worker].data();
-        for (uint32_t n : p.tasks[task].nodes)
-            evalNodeFull(n, scratch);
-    });
+    partRunner->run(
+        [&](uint32_t task, unsigned worker) {
+            uint64_t *scratch = workerScratch[worker].data();
+            for (uint32_t n : p.tasks[task].nodes)
+                evalNodeFull(n, scratch);
+        },
+        crew);
     return static_cast<int>(sched->nodes().size());
 }
 
@@ -1201,24 +1181,31 @@ SimState::clock()
         return;
     }
     const auto &models = prog->models();
-    if (engineVal == Engine::Levelized && threadsVal > 1 && partPlan &&
-        partPlan->parallel() && !WorkPool::insideWorker()) {
+    if (engineVal == Engine::Levelized && parallelCycle) {
         // Clock edges are mutually independent: every model reads the
         // shared settled port values and writes only its own private
         // state, so a plain range split over the partition plan's
         // thread count is exact (no ownership or ordering needed).
-        // The next comb() walks the full schedule, so the scalar
-        // engine's queue seeding below is also unnecessary.
-        WorkPool::global().parallelFor(
-            models.size(), partPlan->threads,
-            [&](size_t i) { models[i]->clock(vals.data()); });
+        // The queue seeding below is skipped: the next cycle either
+        // walks the full partition or, switching to serial, the whole
+        // schedule (see partitionedCycle()).
+        auto edge = [&](size_t i) { models[i]->clock(vals.data()); };
+        const unsigned w = partPlan->threads;
+        if (crew && crew->hold(w)) {
+            crew->run([&](unsigned part) {
+                for (size_t i = models.size() * part / w,
+                            e = models.size() * (part + 1) / w;
+                     i < e; ++i)
+                    edge(i);
+            });
+        } else {
+            WorkPool::global().parallelFor(models.size(), w, edge);
+        }
         return;
     }
     for (const auto &m : models)
         m->clock(vals.data());
     if (engineVal == Engine::Levelized && sched) {
-        if (threadsVal > 1)
-            return; // partitioned comb() re-walks everything
         // Seed the next cycle's event queue: outputs of stateful models
         // whose post-edge value differs from the settled one.
         const auto &stateful = sched->statefulModels();

@@ -11,6 +11,7 @@
 
 #include "ir/context.h"
 #include "sim/models.h"
+#include "support/pool.h"
 #include "support/symbol.h"
 
 namespace calyx::obs {
@@ -227,15 +228,8 @@ class SimProgram
      * callbacks compiled in (emit/cppsim.h) and cached separately —
      * requesting it never slows down unobserved runs of the plain
      * module, whose hot path stays branch-free.
-     *
-     * `partitions > 1` requests the partitioned variant instead: one
-     * generated function per macro-task plus embedded dependency
-     * tables (sim/partition.h), cached in its own slot. Partitioned
-     * modules are never probed — observers are notified host-side
-     * after the partitions join (see SimState::comb()).
      */
-    std::shared_ptr<CompiledModule>
-    compiledModule(bool probe = false, uint32_t partitions = 0) const;
+    std::shared_ptr<CompiledModule> compiledModule(bool probe = false) const;
 
     const Context &context() const { return *ctx; }
 
@@ -258,9 +252,6 @@ class SimProgram
     mutable std::unique_ptr<SimSchedule> sched; ///< Lazily built.
     /// Lazily loaded generated modules: [0] plain, [1] with probes.
     mutable std::shared_ptr<CompiledModule> compiled[2];
-    /// Lazily loaded partitioned module (one per process-stable
-    /// partition target; see partitionTarget()).
-    mutable std::shared_ptr<CompiledModule> compiledPart;
 };
 
 /**
@@ -308,16 +299,16 @@ class SimState
     const SimProgram &program() const { return *prog; }
 
     /**
-     * Worker threads for partitioned single-stimulus execution
-     * (docs/simulation.md, "Partitioned execution"). With n > 1 the
-     * levelized engine walks the full macro-task partition of the
-     * schedule every cycle on a static per-thread plan, and the
-     * compiled engine loads the partitioned generated module and
-     * dispatches its per-partition entry points the same way. n <= 1
-     * (the default) keeps the scalar dirty-cone / plain-module paths.
-     * Results are bit-identical either way. Call before the first
-     * comb(); changing it later rebuilds the plan (and rebinds the
-     * compiled instance, losing un-reset state).
+     * Upper bound on worker threads for partitioned single-stimulus
+     * execution (docs/simulation.md, "Partitioned execution"). With
+     * n > 1 the levelized engine builds a macro-task partition of the
+     * schedule, and the plan's PartitionRunner picks, by measured
+     * cycle time, whether each stretch of cycles walks the partition
+     * on its static per-thread plan or runs the scalar dirty-cone walk.
+     * The compiled engine ignores n: its plain module is faster than
+     * the partitioned one serially and in parallel. Results are
+     * bit-identical either way. Call before the first comb(); changing
+     * it later rebuilds the plan.
      */
     void setThreads(unsigned n);
     unsigned threads() const { return threadsVal; }
@@ -336,6 +327,29 @@ class SimState
         return observerList;
     }
 
+    /**
+     * Lends the state a run-scoped WorkPool::Crew for the scope's
+     * lifetime: partitioned comb() and clock() phases then run on the
+     * crew's dedicated participants, engaged once while parallel keeps
+     * winning (one pool dispatch; released when the run settles on
+     * serial, re-engaged at the next probe), instead of dispatching to
+     * the pool every phase. The
+     * cycle drivers (CycleSim::run, Interp::run) open one around their
+     * loop; without one, parallel cycles dispatch per phase.
+     */
+    class CrewScope
+    {
+      public:
+        explicit CrewScope(SimState &s) : state(s) { state.crew = &crew; }
+        ~CrewScope() { state.crew = nullptr; }
+        CrewScope(const CrewScope &) = delete;
+        CrewScope &operator=(const CrewScope &) = delete;
+
+      private:
+        SimState &state;
+        WorkPool::Crew crew; ///< Released after the pointer is cleared.
+    };
+
     /** Cycles settled (comb() calls) since reset, observer-visible. */
     uint64_t settledCycles() const { return cycleIndex; }
 
@@ -353,6 +367,10 @@ class SimState
 
     /** Build the partition plan/runner/scratch on first use. */
     void ensurePartitioned();
+
+    /** Levelized with threads > 1: open the runner's next cycle and
+     * report whether it walks the partition in parallel. */
+    bool partitionedCycle();
 
     /** Load/bind the generated module on the first compiled comb(). */
     void ensureCompiled();
@@ -425,13 +443,17 @@ class SimState
     size_t continuousCount = 0;   ///< Total continuous assignments.
     bool compiledProbe = false;   ///< Loaded module notifies observers.
 
-    // --- Partitioned execution (both engines) -----------------------
+    // --- Partitioned execution (levelized engine) -------------------
     unsigned threadsVal = 1;
     std::unique_ptr<PartitionPlan> partPlan;
     std::unique_ptr<PartitionRunner> partRunner;
     /// One scratch plane (numPorts words) per plan thread; the
     /// levelized partitioned walk hands workers disjoint planes.
     std::vector<std::vector<uint64_t>> workerScratch;
+    /// The current cycle walked the partition in parallel (levelized):
+    /// its clock edge skipped the dirty-queue seeding.
+    bool parallelCycle = false;
+    WorkPool::Crew *crew = nullptr; ///< Lent by a CrewScope.
 
     // --- Observability ----------------------------------------------
     std::vector<obs::SimObserver *> observerList;

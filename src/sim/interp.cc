@@ -307,6 +307,7 @@ Interp::run(uint64_t max_cycles)
     stateVal.reset();
     const SimProgram::Instance &top = prog->root();
     auto root = begin(top.comp->control(), top);
+    SimState::CrewScope crew(stateVal);
 
     uint64_t cycles = 0;
     while (!root->finished) {

@@ -259,14 +259,32 @@ class MemModel final : public PrimModel
         return addr;
     }
 
+    uint64_t
+    read(const uint64_t *vals, const std::vector<uint32_t> &ports) const
+    {
+        uint64_t addr = flatAddr(vals, ports);
+        return addr < data.size() ? data[addr] : 0;
+    }
+
     void
     evalComb(const uint64_t *i, uint64_t *o) const override
     {
-        uint64_t addr = flatAddr(i, addrs);
-        o[readData] = addr < data.size() ? data[addr] : 0;
-        uint64_t addr1 = flatAddr(i, addrs1);
-        o[readData1] = addr1 < data.size() ? data[addr1] : 0;
+        o[readData] = read(i, addrs);
+        o[readData1] = read(i, addrs1);
         o[done] = donePulse ? 1 : 0;
+    }
+
+    /// Each read port depends on its own address ports only, and done
+    /// on none.
+    void
+    evalOutput(const uint64_t *i, uint64_t *o, uint32_t port) const override
+    {
+        if (port == readData)
+            o[port] = read(i, addrs);
+        else if (port == readData1)
+            o[port] = read(i, addrs1);
+        else
+            o[port] = donePulse ? 1 : 0;
     }
 
     void

@@ -56,6 +56,22 @@ class PrimModel
     virtual void evalComb(const uint64_t *in, uint64_t *out) const = 0;
 
     /**
+     * Recompute the single output `port` into `out[port]`, reading only
+     * the inputs `port` combinationally depends on (deps().combEdges).
+     * The levelized walks settle one port at a time, and the partitioned
+     * walk must not read an input that a concurrent task may be writing
+     * just to compute an output it discards. The default runs evalComb,
+     * which is exact for models whose outputs share one input set;
+     * models with per-output input sets override it.
+     */
+    virtual void
+    evalOutput(const uint64_t *in, uint64_t *out, uint32_t port) const
+    {
+        (void)port;
+        evalComb(in, out);
+    }
+
+    /**
      * Dependency contract for schedule construction. Every primitive
      * must declare all of its outputs, the input->output combinational
      * edges, and whether outputs depend on clocked internal state.

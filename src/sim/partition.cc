@@ -375,46 +375,204 @@ assignThreads(PartitionPlan &plan, unsigned threads)
         std::sort(list.begin(), list.end());
 }
 
-PartitionRunner::PartitionRunner(const PartitionPlan &p)
-    : plan(&p),
-      doneStamp(new std::atomic<uint64_t>[p.tasks.empty()
-                                              ? 1
-                                              : p.tasks.size()])
+namespace {
+
+// The first probe waits until the run has lasted this long, so a run
+// too short to repay a probe never pays one (a losing probe costs about
+// 0.3 ms at 4 threads on 4 cores: waking parked workers plus a few
+// parallel cycles); each later probe waits until the run has doubled.
+constexpr double firstProbeSeconds = 16e-3;
+// While waiting for the next probe the clock is read about this often
+// (in run time, up to every 64th cycle): fine enough that a design with
+// millisecond cycles starts its probe on time, coarse enough that the
+// read costs nothing on a compiled design's 100 ns cycles.
+constexpr double clockReadSeconds = 20e-6;
+/// Parallel must measure at most this share of serial to be chosen.
+constexpr double parallelMargin = 0.9;
+// A run whose serial cycles are shorter than this skips the probe: a
+// parallel cycle pays two crew phase handoffs plus a cross-thread wait
+// per dependency (2mm: 29-39 waits; its 8 us serial cycles took 35 us
+// in parallel; the shortest cycles measured to win were systolic 8x8
+// batch-1's ~300 us), while a losing probe pays a crew wake-up that
+// can take milliseconds on a loaded host.
+constexpr double minProbeCycleSeconds = 25e-6;
+// A parallel stretch is checked against the probe's mean serial cycle
+// over windows of at least this long and at least guardCycles cycles:
+// a window whose mean cycle is slower than serial ends the stretch.
+constexpr double guardSeconds = 2e-3;
+constexpr uint64_t guardCycles = 8;
+
+std::function<bool(uint64_t)> &
+forcedSchedule()
 {
-    const size_t n = p.tasks.empty() ? 1 : p.tasks.size();
-    for (size_t i = 0; i < n; ++i)
-        doneStamp[i].store(0, std::memory_order_relaxed);
+    static std::function<bool(uint64_t)> f;
+    return f;
+}
+
+} // namespace
+
+PartitionRunner::PartitionRunner(const PartitionPlan &p)
+    : plan(&p), doneStamp(new Stamp[p.tasks.empty() ? 1 : p.tasks.size()])
+{
+    restart();
 }
 
 void
-PartitionRunner::run(const std::function<void(uint32_t, unsigned)> &fn)
+PartitionRunner::forceSchedule(std::function<bool(uint64_t)> schedule)
 {
-    const PartitionPlan &p = *plan;
-    const uint32_t T = static_cast<uint32_t>(p.tasks.size());
-    if (!p.parallel() || WorkPool::insideWorker()) {
-        // Sequential fallback: ascending task ids are a topological
-        // order, so in-order execution satisfies every dependency.
-        for (uint32_t t = 0; t < T; ++t)
-            fn(t, 0);
-        return;
+    forcedSchedule() = std::move(schedule);
+}
+
+void
+PartitionRunner::restart()
+{
+    parallelNow = steadyParallel = probing = timing = false;
+    cycle = nextRead = 0;
+    nextProbe = firstProbeSeconds;
+}
+
+bool
+PartitionRunner::beginCycle(WorkPool::Crew *crew)
+{
+    const bool par = pickMode();
+    // A serial stretch outside a probe hands the pool back: another
+    // caller's parallelFor should not wait for the rest of this run.
+    if (!par && !probing && crew)
+        crew->release();
+    return par;
+}
+
+bool
+PartitionRunner::pickMode()
+{
+    using Clock = std::chrono::steady_clock;
+    const uint64_t c = cycle++;
+    if (!plan->parallel())
+        return parallelNow = false;
+    if (const auto &forced = forcedSchedule())
+        return parallelNow = forced(c);
+
+    if (!probing) {
+        if (c < nextRead)
+            return parallelNow = steadyParallel;
+        Clock::time_point now = Clock::now();
+        uint64_t stride = 1;
+        double perCycle = 0;
+        if (c == 0) {
+            runStart = now;
+        } else {
+            perCycle =
+                std::chrono::duration<double>(now - lastRead).count() /
+                static_cast<double>(c - lastReadCycle);
+            stride = static_cast<uint64_t>(
+                std::clamp(clockReadSeconds / perCycle, 1.0, 64.0));
+        }
+        lastRead = now;
+        lastReadCycle = c;
+        nextRead = c + stride;
+        if (steadyParallel && c >= guardCycle + guardCycles) {
+            // The probe's verdict holds only while parallel keeps
+            // winning: host load can change after it (a preempted
+            // worker stalls every cycle), so a window slower than the
+            // probe's serial cycles goes back to serial until the next
+            // probe.
+            double span =
+                std::chrono::duration<double>(now - guardStart).count();
+            if (span >= guardSeconds) {
+                if (span / static_cast<double>(c - guardCycle) >
+                    serialCycle)
+                    steadyParallel = false;
+                guardStart = now;
+                guardCycle = c;
+            }
+        }
+        const double elapsed =
+            std::chrono::duration<double>(now - runStart).count();
+        if (elapsed < nextProbe)
+            return parallelNow = steadyParallel;
+        if (!steadyParallel && perCycle < minProbeCycleSeconds) {
+            // Serial cycles too short for parallel to win: skip this
+            // probe, look again once the run has doubled.
+            nextProbe = 2 * elapsed;
+            return parallelNow = false;
+        }
+        probing = true;
+        probePos = 0;
+        serialSum = parallelSum = 0;
     }
 
-    const uint64_t stamp = ++runStamp;
+    Clock::time_point now = Clock::now();
+    if (timing) {
+        double dt = std::chrono::duration<double>(now - cycleStart).count();
+        (parallelNow ? parallelSum : serialSum) += dt;
+    }
+    // Totals, not medians: a stalled parallel cycle (a preempted worker
+    // holds up every task that waits on it) is what parallel costs on a
+    // loaded host, so it counts in full. Parallel only adds to its
+    // total, so the probe ends as soon as the total exceeds the margin
+    // of serial's — a losing probe costs a few parallel cycles, not a
+    // whole block.
+    const double budget = parallelMargin * serialSum;
+    if (probePos == 2 * probeBlock || (parallelNow && parallelSum > budget)) {
+        steadyParallel = parallelSum <= budget;
+        serialCycle = serialSum / (probeBlock - 1);
+        nextProbe =
+            2 * std::chrono::duration<double>(now - runStart).count();
+        probing = timing = false;
+        lastRead = guardStart = now;
+        lastReadCycle = guardCycle = c;
+        nextRead = c + 1;
+        return parallelNow = steadyParallel;
+    }
+    parallelNow = probePos >= probeBlock;
+    timing = probePos % probeBlock != 0;
+    cycleStart = now;
+    ++probePos;
+    return parallelNow;
+}
+
+void
+PartitionRunner::run(const std::function<void(uint32_t, unsigned)> &fn,
+                     WorkPool::Crew *crew)
+{
+    if (parallelNow && runParallel(fn, crew))
+        return;
+    // Ascending task ids are a topological order, so in-order
+    // execution satisfies every dependency.
+    const uint32_t T = static_cast<uint32_t>(plan->tasks.size());
+    for (uint32_t t = 0; t < T; ++t)
+        fn(t, 0);
+}
+
+bool
+PartitionRunner::runParallel(
+    const std::function<void(uint32_t, unsigned)> &fn, WorkPool::Crew *crew)
+{
+    const PartitionPlan &p = *plan;
+    const bool onCrew = crew && crew->hold(p.threads);
+    if (!onCrew && WorkPool::insideWorker())
+        return false; // Nested: capped, not stacked.
+    const uint32_t stamp = ++runStamp;
     std::atomic<bool> aborted{false};
-    WorkPool::global().runConcurrent(p.threads, [&](size_t w) {
+    auto worker = [&](size_t w) {
         for (uint32_t t : p.threadTasks[w]) {
             bool runnable = true;
             for (uint32_t d : p.tasks[t].deps) {
                 // The acquire load pairs with the dependency's release
                 // store below: once the stamp matches, every value the
-                // dependency wrote is visible to this task.
-                while (doneStamp[d].load(std::memory_order_acquire) !=
-                       stamp) {
+                // dependency wrote is visible to this task. Spin first
+                // (a dependency is usually microseconds away), then
+                // block until the stamp moves.
+                BoundedSpin spin;
+                for (uint32_t v;
+                     (v = doneStamp[d].v.load(std::memory_order_acquire)) !=
+                     stamp;) {
                     if (aborted.load(std::memory_order_acquire)) {
                         runnable = false;
                         break;
                     }
-                    std::this_thread::yield();
+                    if (!spin.spin())
+                        doneStamp[d].v.wait(v, std::memory_order_acquire);
                 }
                 if (!runnable)
                     break;
@@ -423,19 +581,31 @@ PartitionRunner::run(const std::function<void(uint32_t, unsigned)> &fn)
                 try {
                     fn(t, static_cast<unsigned>(w));
                 } catch (...) {
-                    // Publish the abort, then the stamp, so waiters on
-                    // this task wake and bail instead of running on
-                    // half-written state. The pool captures the
-                    // exception and rethrows it on the caller after
-                    // every worker drains.
+                    // Publish the abort, then every task's stamp, so all
+                    // waiters (spinning or blocked on a task this worker
+                    // will now never run) wake, see the abort and bail
+                    // instead of running on half-written state. The
+                    // exception reaches the caller after every worker
+                    // drains.
                     aborted.store(true, std::memory_order_release);
-                    doneStamp[t].store(stamp, std::memory_order_release);
+                    for (uint32_t u = 0; u < p.tasks.size(); ++u) {
+                        doneStamp[u].v.store(stamp,
+                                             std::memory_order_release);
+                        doneStamp[u].v.notify_all();
+                    }
                     throw;
                 }
             }
-            doneStamp[t].store(stamp, std::memory_order_release);
+            doneStamp[t].v.store(stamp, std::memory_order_release);
+            doneStamp[t].v.notify_all();
         }
-    });
+    };
+
+    if (onCrew)
+        crew->run([&](unsigned w) { worker(w); });
+    else
+        WorkPool::global().runConcurrent(p.threads, worker);
+    return true;
 }
 
 } // namespace calyx::sim

@@ -1,5 +1,6 @@
 #include "support/pool.h"
 
+#include <chrono>
 #include <exception>
 
 namespace calyx {
@@ -33,6 +34,34 @@ thread_local bool tlInPool = false;
 /** Live participant count and its high-water mark. */
 std::atomic<unsigned> activeParts{0};
 std::atomic<unsigned> peakParts{0};
+
+/** Jobs published (WorkPool::dispatches()). */
+std::atomic<uint64_t> dispatchCount{0};
+
+/**
+ * Mark this thread as a pool participant; returns its previous
+ * in-pool flag for leavePool().
+ */
+bool
+enterPool()
+{
+    bool was = tlInPool;
+    tlInPool = true;
+    unsigned act = activeParts.fetch_add(1, std::memory_order_relaxed) + 1;
+    unsigned peak = peakParts.load(std::memory_order_relaxed);
+    while (act > peak &&
+           !peakParts.compare_exchange_weak(peak, act,
+                                            std::memory_order_relaxed))
+        ;
+    return was;
+}
+
+void
+leavePool(bool was)
+{
+    activeParts.fetch_sub(1, std::memory_order_relaxed);
+    tlInPool = was;
+}
 
 } // namespace
 
@@ -69,6 +98,18 @@ void
 WorkPool::resetPeakParticipants()
 {
     peakParts.store(0, std::memory_order_relaxed);
+}
+
+uint64_t
+WorkPool::dispatches()
+{
+    return dispatchCount.load(std::memory_order_relaxed);
+}
+
+void
+WorkPool::resetDispatches()
+{
+    dispatchCount.store(0, std::memory_order_relaxed);
 }
 
 void
@@ -113,14 +154,7 @@ WorkPool::workerLoop(unsigned id)
 void
 WorkPool::runAs(Job &job, size_t self)
 {
-    bool wasInPool = tlInPool;
-    tlInPool = true;
-    unsigned act = activeParts.fetch_add(1, std::memory_order_relaxed) + 1;
-    unsigned peak = peakParts.load(std::memory_order_relaxed);
-    while (act > peak &&
-           !peakParts.compare_exchange_weak(peak, act,
-                                            std::memory_order_relaxed))
-        ;
+    bool wasInPool = enterPool();
 
     const auto &fn = *job.fn;
     auto run = [&](size_t i) {
@@ -160,8 +194,28 @@ WorkPool::runAs(Job &job, size_t self)
             run(i);
     }
 
-    activeParts.fetch_sub(1, std::memory_order_relaxed);
-    tlInPool = wasInPool;
+    leavePool(wasInPool);
+}
+
+void
+WorkPool::publish(Job &j)
+{
+    dispatchCount.fetch_add(1, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        ensureWorkers(static_cast<unsigned>(j.parts) - 1);
+        job = &j;
+        ++generation;
+    }
+    cv.notify_all();
+}
+
+void
+WorkPool::awaitWorkers(Job &j)
+{
+    std::unique_lock<std::mutex> lk(mu);
+    doneCv.wait(lk, [&] { return j.done.load() == j.parts - 1; });
+    job = nullptr;
 }
 
 void
@@ -170,30 +224,16 @@ WorkPool::dispatch(Job &j)
     // One job at a time: the pool has a single publication slot. This
     // is also the process-wide occupancy cap — concurrent callers
     // queue here instead of stacking their thread counts.
-    static std::mutex jobMu;
-    std::lock_guard<std::mutex> serial(jobMu);
+    std::lock_guard<std::mutex> serial(slotMu);
 
     {
         std::lock_guard<std::mutex> lk(errSlot().mu);
         errSlot().err = nullptr;
     }
 
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        ensureWorkers(static_cast<unsigned>(j.parts) - 1);
-        job = &j;
-        ++generation;
-    }
-    cv.notify_all();
-
+    publish(j);
     runAs(j, 0);
-    j.done.fetch_add(1);
-
-    {
-        std::unique_lock<std::mutex> lk(mu);
-        doneCv.wait(lk, [&] { return j.done.load() == j.parts; });
-        job = nullptr;
-    }
+    awaitWorkers(j);
 
     std::exception_ptr err;
     {
@@ -245,14 +285,183 @@ WorkPool::runConcurrent(size_t n, const std::function<void(size_t)> &fn)
 
     Job j;
     j.fn = &fn;
-    j.parts = n;
-    j.noSteal = true;
-    j.ranges = std::vector<Range>(n);
-    for (size_t r = 0; r < n; ++r) {
-        j.ranges[r].next.store(r, std::memory_order_relaxed);
-        j.ranges[r].end = r + 1;
-    }
+    j.dedicate(n);
     dispatch(j);
+}
+
+void
+WorkPool::Job::dedicate(size_t n)
+{
+    parts = n;
+    noSteal = true;
+    ranges = std::vector<Range>(n);
+    for (size_t r = 0; r < n; ++r) {
+        ranges[r].next.store(r, std::memory_order_relaxed);
+        ranges[r].end = r + 1;
+    }
+}
+
+// --- Crew ------------------------------------------------------------
+
+namespace {
+
+/** How long an idle crew worker spins before it parks. */
+constexpr std::chrono::microseconds crewSpin{100};
+
+} // namespace
+
+/**
+ * A held crew: the pool job whose participants loop over phases, and
+ * the phase handshake. The holder stores `fn`, resets `pending`, then
+ * bumps `seq` (release); a worker that observes the bump (acquire)
+ * runs fn(slot) and decrements `pending` (release), which the holder
+ * waits on (acquire; a bounded spin, then blocking, woken by the last
+ * decrement). A bump with `fn == nullptr` releases the crew.
+ * The holder writes `fn` only while no phase is in flight, so the
+ * plain pointer never races.
+ */
+struct WorkPool::Crew::State
+{
+    std::unique_lock<std::mutex> slot; ///< The pool's publication slot.
+    Job job;
+    std::function<void(size_t)> loop; ///< job.fn: participate(slot).
+    unsigned parts = 0;
+    bool holderWasInPool = false;
+
+    const std::function<void(unsigned)> *fn = nullptr;
+    alignas(64) std::atomic<uint64_t> seq{0};
+    alignas(64) std::atomic<unsigned> pending{0};
+    alignas(64) std::mutex parkMu; ///< Guards parking on `parkCv`.
+    std::condition_variable parkCv;
+    ErrSlot err;
+
+    /** Wait for the phase after `seen`: spin, then park. */
+    uint64_t
+    awaitPhase(uint64_t seen)
+    {
+        std::chrono::steady_clock::time_point deadline{};
+        for (unsigned i = 1;; ++i) {
+            uint64_t v = seq.load(std::memory_order_acquire);
+            if (v != seen)
+                return v;
+            spinPause();
+            if (i % 256 != 0)
+                continue;
+            // Every 256 pauses: give an oversubscribed core back, and
+            // park once the spin budget is spent.
+            auto now = std::chrono::steady_clock::now();
+            if (deadline == std::chrono::steady_clock::time_point{})
+                deadline = now + crewSpin;
+            else if (now >= deadline)
+                break;
+            std::this_thread::yield();
+        }
+        std::unique_lock<std::mutex> lk(parkMu);
+        parkCv.wait(lk, [&] {
+            return seq.load(std::memory_order_acquire) != seen;
+        });
+        return seq.load(std::memory_order_acquire);
+    }
+
+    /** Worker side: run phases until the release bump. */
+    void
+    participate(unsigned slot)
+    {
+        uint64_t seen = 0;
+        for (;;) {
+            seen = awaitPhase(seen);
+            const std::function<void(unsigned)> *phase = fn;
+            if (!phase)
+                return;
+            try {
+                (*phase)(slot);
+            } catch (...) {
+                err.capture();
+            }
+            if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+                pending.notify_one(); // The holder may have blocked.
+        }
+    }
+
+    /** Holder side: publish a phase (or, with nullptr, the release). */
+    void
+    bump(const std::function<void(unsigned)> *phase)
+    {
+        fn = phase;
+        pending.store(parts - 1, std::memory_order_relaxed);
+        {
+            // Under the park mutex so a worker between its predicate
+            // check and its wait cannot miss the bump.
+            std::lock_guard<std::mutex> lk(parkMu);
+            seq.fetch_add(1, std::memory_order_release);
+        }
+        parkCv.notify_all();
+    }
+};
+
+WorkPool::Crew::Crew() = default;
+
+WorkPool::Crew::~Crew() { release(); }
+
+void
+WorkPool::Crew::release()
+{
+    if (!st)
+        return;
+    st->bump(nullptr);
+    global().awaitWorkers(st->job);
+    leavePool(st->holderWasInPool);
+    st.reset(); // Releases the publication slot.
+}
+
+bool
+WorkPool::Crew::hold(unsigned w)
+{
+    if (st)
+        return st->parts == w;
+    if (w <= 1 || insideWorker())
+        return false;
+
+    WorkPool &pool = global();
+    auto s = std::make_unique<State>();
+    s->slot = std::unique_lock<std::mutex>(pool.slotMu);
+    s->parts = w;
+    s->loop = [raw = s.get()](size_t slot) {
+        raw->participate(static_cast<unsigned>(slot));
+    };
+    s->job.fn = &s->loop;
+    s->job.dedicate(w);
+    pool.publish(s->job);
+    // The holder is participant 0 for the crew's whole life: pool
+    // calls it makes meanwhile run serially instead of queueing on
+    // the slot it holds.
+    s->holderWasInPool = enterPool();
+    st = std::move(s);
+    return true;
+}
+
+void
+WorkPool::Crew::run(const std::function<void(unsigned)> &fn)
+{
+    State &s = *st;
+    s.bump(&fn);
+    try {
+        fn(0);
+    } catch (...) {
+        s.err.capture();
+    }
+    BoundedSpin spin;
+    for (unsigned v; (v = s.pending.load(std::memory_order_acquire)) != 0;) {
+        if (!spin.spin())
+            s.pending.wait(v, std::memory_order_acquire);
+    }
+    std::exception_ptr e;
+    {
+        std::lock_guard<std::mutex> lk(s.err.mu);
+        std::swap(e, s.err.err);
+    }
+    if (e)
+        std::rethrow_exception(e);
 }
 
 } // namespace calyx

@@ -2,9 +2,12 @@
 #define CALYX_SUPPORT_POOL_H
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -12,15 +15,61 @@
 namespace calyx {
 
 /**
+ * One iteration of a spin-wait: a CPU pause hint where the target has
+ * one, so a spinning hyperthread yields pipeline resources to its
+ * sibling without giving up its time slice.
+ */
+inline void
+spinPause()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/**
+ * The spinning half of a wait that is usually short. Each spin() is
+ * one pause (every 64th also yields the core) and returns true until
+ * about 50 us have passed; then the caller should block instead. A
+ * waiter that never blocks keeps its core busy, so when the machine is
+ * oversubscribed a preempted thread the wait depends on cannot be moved
+ * onto it, and the wait lasts a whole scheduler slice (1-12 ms measured
+ * on a shared 4-vCPU host with every core spinning).
+ */
+class BoundedSpin
+{
+  public:
+    bool
+    spin()
+    {
+        spinPause();
+        if (++count % 64 != 0)
+            return true;
+        std::this_thread::yield();
+        auto now = std::chrono::steady_clock::now();
+        if (deadline == std::chrono::steady_clock::time_point{})
+            deadline = now + std::chrono::microseconds(50);
+        return now < deadline;
+    }
+
+  private:
+    unsigned count = 0;
+    std::chrono::steady_clock::time_point deadline{};
+};
+
+/**
  * Persistent work-stealing thread pool shared by every engine-agnostic
  * parallel loop in the toolchain: batch simulation partitions lane
  * tiles over it (sim/batch.h), the pass manager dispatches independent
  * components of one dependency wavefront over it
  * (passes/pass_manager.h), compiled-module shard builds run over it
- * (sim/compiled.h), and partitioned single-stimulus simulation pins
- * its static per-thread plans onto it (sim/partition.h). In all cases
- * the work items' state is disjoint by construction, so the pool needs
- * no per-item locking — only job distribution is synchronized.
+ * (sim/compiled.h), and partitioned single-stimulus simulation runs
+ * its static per-thread plans on a Crew of it (sim/partition.h). In
+ * all cases the work items' state is disjoint by construction, so the
+ * pool needs no per-item locking — only job distribution is
+ * synchronized.
  *
  * Work distribution is index-range stealing: parallelFor(n, w, fn)
  * splits [0, n) into `w` contiguous ranges, one per participant, each
@@ -37,8 +86,10 @@ namespace calyx {
  * thread counts, and a parallelFor issued from *inside* a worker runs
  * serially on that worker rather than deadlocking on the slot — so a
  * `--threads N` process never runs more than N items at once, however
- * the subsystems nest. peakParticipants() exposes the observed
- * high-water mark for tests asserting exactly that.
+ * the subsystems nest. A Crew occupies the slot from hold() to
+ * release(). peakParticipants() exposes the observed high-water mark
+ * and dispatches() the number of jobs published, for tests asserting
+ * exactly that.
  *
  * Workers are spawned lazily up to the high-water request and persist
  * for the process lifetime (detached at exit), so a `futil --serve`
@@ -76,6 +127,66 @@ class WorkPool
     void runConcurrent(size_t n, const std::function<void(size_t)> &fn);
 
     /**
+     * A run-scoped crew: `width` dedicated participants (the holder's
+     * thread is participant 0) kept for the length of one loop — a
+     * cycle simulation's run, one batch tile — so a loop that needs a
+     * parallel phase every iteration pays one pool dispatch, not one
+     * per phase. Each run(fn) is one phase: fn(w) on participant w for
+     * every w in [0, width), returning when all are done (the same
+     * no-steal contract as runConcurrent, so phases may wait on
+     * each other's items).
+     *
+     * Between phases the workers spin for a bounded time (about
+     * 100 us), then park on a condition variable; the next phase wakes
+     * them. A loop that goes serial for a while therefore costs no CPU
+     * beyond that window. A crew is inert until a successful hold()
+     * (callers hold on their first parallel phase, so a loop that
+     * stays serial never dispatches); from then until release() or
+     * destruction it holds the pool's publication slot: concurrent
+     * callers queue behind it, and pool calls made by the holder's
+     * thread meanwhile run serially (it counts as inside the pool). A
+     * loop that settles on serial releases the crew so other callers
+     * get the pool back; its next parallel phase re-engages it (one
+     * more dispatch). Release or destroy it on the thread that holds
+     * it.
+     */
+    class Crew
+    {
+      public:
+        Crew();
+        ~Crew();
+        Crew(const Crew &) = delete;
+        Crew &operator=(const Crew &) = delete;
+
+        /**
+         * Engage `width` participants, or confirm the ones engaged.
+         * False — nothing held — when width <= 1, when called from
+         * inside pool work (nested parallelism is capped, not
+         * stacked), or when the crew already holds a different width.
+         */
+        bool hold(unsigned width);
+
+        /**
+         * Let the participants go and free the publication slot; a
+         * no-op on a crew that holds nothing. The destructor calls it.
+         */
+        void release();
+
+        /**
+         * One phase: fn(w) for every w in [0, width), w on
+         * participant w. Requires a successful hold(). The first
+         * exception thrown by any participant is rethrown here after
+         * every participant has finished the phase; the crew stays
+         * usable.
+         */
+        void run(const std::function<void(unsigned)> &fn);
+
+      private:
+        struct State;
+        std::unique_ptr<State> st;
+    };
+
+    /**
      * True on a thread currently executing pool work (including the
      * caller-as-participant). Used to demote nested parallel calls to
      * serial execution.
@@ -88,6 +199,14 @@ class WorkPool
      */
     static unsigned peakParticipants();
     static void resetPeakParticipants();
+
+    /**
+     * Jobs published to the workers since the last reset: one per
+     * multi-participant parallelFor or runConcurrent, one per engaged
+     * Crew (however many phases it runs).
+     */
+    static uint64_t dispatches();
+    static void resetDispatches();
 
     /** A sensible default worker count: hardware_concurrency, >= 1. */
     static unsigned defaultThreads();
@@ -111,13 +230,22 @@ class WorkPool
         std::atomic<size_t> done{0}; ///< Participants finished.
         size_t parts = 0;
         bool noSteal = false; ///< Dedicated participant per range.
+
+        /** `n` dedicated participants: range r is [r, r + 1). */
+        void dedicate(size_t n);
     };
 
     void ensureWorkers(unsigned count);
     void workerLoop(unsigned id);
     void runAs(Job &job, size_t self);
     void dispatch(Job &j);
+    /** Hand `j` to the workers; the slot must be held. */
+    void publish(Job &j);
+    /** Wait until every worker participant of `j` has finished. */
+    void awaitWorkers(Job &j);
 
+    /// The single publication slot: held for one job, or a Crew's life.
+    std::mutex slotMu;
     std::mutex mu;
     std::condition_variable cv;      ///< Wakes idle workers.
     std::condition_variable doneCv;  ///< Wakes the caller.

@@ -46,9 +46,11 @@
  *                            the zero-initialized design
  *     --stimuli <file>       JSON stimulus batch ({"batch": [...]},
  *                            serve/protocol.h schema) for --batch
- *     --threads <N>          worker threads: partitioned single-
- *                            stimulus simulation, batched simulation,
- *                            and parallel per-component pass execution
+ *     --threads <N>          worker threads, at most: partitioned
+ *                            single-stimulus simulation (levelized;
+ *                            parallel only where it measures faster
+ *                            than serial), batched simulation, and
+ *                            parallel per-component pass execution
  *     --lane-tile <N>        lanes per tile (fixed compiled lane
  *                            width; default 16)
  *     --serve                stimulus-stream service: read
@@ -144,7 +146,9 @@ usage()
         << " (default levelized)\n"
            "  --batch <N>            batched simulation of N stimuli\n"
            "  --stimuli <file>       JSON stimulus batch for --batch\n"
-           "  --threads <N>          worker threads: partitioned --sim,\n"
+           "  --threads <N>          worker threads, at most: partitioned\n"
+           "                         levelized --sim (parallel only where\n"
+           "                         it measures faster than serial),\n"
            "                         batch lanes, and per-component\n"
            "                         passes (default 1)\n"
            "  --lane-tile <N>        lanes per batch tile (default 16)\n"
