@@ -25,9 +25,9 @@
  * quotient compares runs taken under the same host conditions.
  *
  * Batched throughput (sim/batch.h) is measured per workload as
- * stimuli/sec at batch sizes 1/64/4096 for each engine and thread
- * count (see benchBatched), written as the per-workload "batched"
- * rows in BENCH_sim.json.
+ * stimuli/sec at batch sizes 1/16/31/64/4096 (compiled) and 1/64
+ * (levelized) for each thread count (see benchBatched), written as the
+ * per-workload "batched" rows in BENCH_sim.json.
  *
  * Partitioned single-stimulus scaling (sim/partition.h,
  * SimState::setThreads) is measured on the systolic 4/16/32 dims and
@@ -47,8 +47,9 @@
  *                 let jacobi beat levelized, so that pair is not
  *                 gated), if levelized throughput regressed > 5%
  *                 against the recorded baseline, or if a batched gate
- *                 fails (checkBatched: compiled batch-4096 >= 8x
- *                 batch-1 on gemm; levelized N-thread batch-64 >= 2x
+ *                 fails (checkBatched: compiled batch-4096 >= 0.5x
+ *                 batch-16 on gemm; compiled batch-1 >= 0.9x the
+ *                 scalar module; levelized N-thread batch-64 >= 2x
  *                 single-thread on systolic_8x8 when the host has >= 2
  *                 cores; threaded batch-1 >= 0.95x single-thread), or
  *                 if a partitioned gate fails (checkPartitioned)
@@ -392,12 +393,16 @@ pairedSpeedup(const std::vector<double> &one, int runsOne,
  * Batched-throughput rows (sim/batch.h): stimuli/sec per engine, batch
  * size, and thread count, appended to `r.batched`. A resident
  * BatchRunner pays schedule/JIT setup in an untimed warmup — exactly
- * the `futil --serve` usage the rows are meant to predict.
- * Batch sizes: 1/64/4096 on the compiled engine (the --check gate
- * holds 4096 to >= 8x the batch-1 rate on gemm, i.e. batching must
- * amortize the fixed lane width); the levelized interpreter stops at
- * 64 — its per-stimulus cost makes a 4096 batch minutes long without
- * saying anything new. Thread counts: 1, 2 and 4, timed interleaved
+ * the `futil --serve` usage the rows are meant to predict. A compiled
+ * runner waits for its lane module there and warms both modules.
+ * Batch sizes on the compiled engine: 1 (the scalar module alone; the
+ * --check gate holds it to >= 0.9x the scalar engine row), 16 (one
+ * lane tile), 31 (one tile plus 15 scalar stimuli: what the remainder
+ * rule costs against one padded tile), 64 and 4096 (the --check gate
+ * holds 4096 to >= 0.5x the batch-16 rate on gemm, i.e. a tile pass
+ * must not slow down when tiles queue up). The levelized interpreter
+ * stops at 64 — its per-stimulus cost makes a 4096 batch minutes long
+ * without saying anything new. Thread counts: 1, 2 and 4, timed interleaved
  * (each repetition runs every thread count back to back). Batch-1
  * rows, which --check holds to the no-regression gate, take at least
  * partMinReps repetitions of at least partRepSeconds each. Rows are
@@ -414,7 +419,7 @@ benchBatched(WorkloadResult &r, sim::SimProgram &sp,
         std::vector<uint32_t> batches;
     };
     const std::vector<Cfg> cfgs = {
-        {sim::Engine::Compiled, {1, 64, 4096}},
+        {sim::Engine::Compiled, {1, 16, 31, 64, 4096}},
         {sim::Engine::Levelized, {1, 64}},
     };
     const std::vector<unsigned> threadCfgs{1, 2, 4};
@@ -429,7 +434,12 @@ benchBatched(WorkloadResult &r, sim::SimProgram &sp,
             bo.engine = cfg.e;
             bo.threads = th;
             auto runner = std::make_unique<sim::BatchRunner>(sp, bo);
-            runner->run(std::vector<sim::Stimulus>(1, stim));
+            size_t warm = 1;
+            if (cfg.e == sim::Engine::Compiled) {
+                runner->awaitLaneModule();
+                warm += bo.laneTile; // A tile and a scalar stimulus.
+            }
+            runner->run(std::vector<sim::Stimulus>(warm, stim));
             return runner;
         };
         for (uint32_t size : cfg.batches) {
@@ -827,19 +837,24 @@ checkBaseline(const std::string &path,
 }
 
 /**
- * --check gates on the batched rows. Two assertions:
+ * --check gates on the batched rows:
  *
  *  1. Batching amortizes: on gemm, the compiled engine's batch-4096
- *     stimuli/sec must be >= 8x its batch-1 rate (single thread).
- *     Batch-1 pays a full fixed-width tile pass per stimulus
- *     (BatchOptions::laneTile), so this holds the lane machinery to
- *     actually filling its width.
- *  2. Threads scale: on systolic_8x8, levelized batch-64 with all
+ *     stimuli/sec must be >= 0.5x its batch-16 rate (single thread).
+ *     Batch-16 times one lane tile pass, so 0.5x batch-16 is 8
+ *     stimuli per tile time: a tile pass must not slow down by more
+ *     than 2x when 256 of them queue up (gemm's cycle count does not
+ *     depend on its data, so every tile pass does the same work).
+ *  2. Lone stimuli run at scalar speed: on every workload, compiled
+ *     batch-1 (single thread) must be >= 0.9x the scalar compiled
+ *     engine's stimuli/sec (cycles/sec over cycles per run).
+ *  3. Threads scale: on systolic_8x8, levelized batch-64 with all
  *     hardware threads must be >= 2x the single-thread rate. Skipped
  *     (with a note) on single-core hosts, where no multi-thread rows
  *     exist to compare.
- *  3. No regression: every threaded batch-1 row (a single tile, so
- *     its threads move inside the tile; BatchOptions::threads) must be
+ *  4. No regression: every threaded batch-1 row (levelized: a single
+ *     tile, so its threads move inside the tile, BatchOptions::threads;
+ *     compiled: one scalar stimulus on the caller) must be
  *     >= 0.95x its engine's single-thread batch-1 row on the same
  *     workload. Rows whose thread count exceeds the host's cores are
  *     not gated.
@@ -853,15 +868,26 @@ checkBatched(const std::vector<WorkloadResult> &results)
     unsigned hw = std::thread::hardware_concurrency();
     for (const WorkloadResult &r : results) {
         if (r.name == "gemm") {
-            double b1 = r.batchStimPerSec("compiled", 1, 1);
+            double b16 = r.batchStimPerSec("compiled", 16, 1);
             double b4096 = r.batchStimPerSec("compiled", 4096, 1);
-            if (b1 > 0 && b4096 > 0 && b4096 < 8.0 * b1) {
+            if (b16 > 0 && b4096 > 0 && b4096 < 0.5 * b16) {
                 std::fprintf(stderr,
                              "FAIL gemm: compiled batch-4096 %.1f "
-                             "stimuli/s is under 8x batch-1 %.1f\n",
-                             b4096, b1);
+                             "stimuli/s is under 0.5x batch-16 %.1f\n",
+                             b4096, b16);
                 ++failures;
             }
+        }
+        double scalar =
+            r.cycles ? r.cps(engineIndex(sim::Engine::Compiled)) / r.cycles
+                     : 0;
+        double b1 = r.batchStimPerSec("compiled", 1, 1);
+        if (scalar > 0 && b1 > 0 && b1 < 0.9 * scalar) {
+            std::fprintf(stderr,
+                         "FAIL %s: compiled batch-1 %.1f stimuli/s is "
+                         "under 0.9x the scalar module's %.1f\n",
+                         r.name.c_str(), b1, scalar);
+            ++failures;
         }
         if (r.name == "systolic_8x8" && hw >= 2) {
             double t1 = r.batchStimPerSec("levelized", 64, 1);

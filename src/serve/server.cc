@@ -79,8 +79,9 @@ serve(const sim::SimProgram &prog, std::istream &in, std::ostream &out,
     if (opts.laneTile)
         bo.laneTile = opts.laneTile;
     bo.maxCycles = opts.maxCycles;
-    // Resident runner: schedule walk tables and the JIT module are
-    // built here, once, before the first request is even read.
+    // Resident runner: the schedule walk tables are built here, once;
+    // its JIT modules load lazily on the first run requests that need
+    // them (the lane module in the background), and stay loaded.
     sim::BatchRunner runner(prog, bo);
     // Resident compiler: the compile cache lives for the session, so a
     // program seen before (byte for byte or modulo formatting) skips

@@ -42,11 +42,11 @@ struct ServeStats
 
 /**
  * The `futil --serve` loop: a resident compile + stimulus-stream
- * service. One BatchRunner — schedule, driver tables, and JIT-compiled
- * lane module — is built up front and reused for every `run` request,
- * so a stream of stimulus batches pays compilation exactly once (the
- * `stats` request reports module_loads/modules_from_cache to prove
- * it), and one cache::CompileService answers `compile` requests
+ * service. One BatchRunner — schedule and driver tables up front, the
+ * JIT-compiled scalar and lane modules on first need — is reused for
+ * every `run` request, so a stream of stimulus batches pays
+ * compilation once per module (the `stats` request reports
+ * module_loads/modules_from_cache to prove it), and one cache::CompileService answers `compile` requests
  * (source + pipeline spec + backend in, emitted artifact out) with
  * content-addressed caching, so a repeated or reformatted program is
  * served from memory without running a pass (`stats` mirrors the

@@ -91,17 +91,58 @@ BatchRunner::BatchRunner(const SimProgram &program, const BatchOptions &o)
     }
 }
 
-BatchRunner::~BatchRunner() = default;
-
-const CompiledModule &
-BatchRunner::laneModule()
+BatchRunner::~BatchRunner()
 {
-    if (!module) {
-        module = CompiledModule::load(*prog, /*probe=*/false, opts.laneTile);
-        ++loads;
-        allFromCache = allFromCache && module->fromCache();
-    }
-    return *module;
+    // Never detach: a build outliving its runner could rename into a
+    // cache directory that its next owner has emptied or replaced.
+    if (laneBuild.joinable())
+        laneBuild.join();
+}
+
+void
+BatchRunner::startLaneBuild()
+{
+    laneState.store(LaneState::Building, std::memory_order_relaxed);
+    laneBuild = std::thread([this] {
+        try {
+            laneModule =
+                CompiledModule::load(*prog, /*probe=*/false, opts.laneTile);
+            laneState.store(LaneState::Ready, std::memory_order_release);
+        } catch (const std::exception &e) {
+            laneError = e.what();
+            laneState.store(LaneState::Failed, std::memory_order_release);
+        }
+    });
+}
+
+void
+BatchRunner::awaitLaneModule()
+{
+    if (laneState.load(std::memory_order_relaxed) == LaneState::Idle)
+        startLaneBuild();
+    if (laneBuild.joinable())
+        laneBuild.join();
+    if (laneState.load(std::memory_order_acquire) == LaneState::Failed)
+        fatal("batched simulation: the lane module failed to build: ",
+              laneError);
+}
+
+uint64_t
+BatchRunner::moduleLoads() const
+{
+    return (scalarModule ? 1 : 0) +
+           (laneState.load(std::memory_order_acquire) == LaneState::Ready
+                ? 1
+                : 0);
+}
+
+bool
+BatchRunner::modulesFromCache() const
+{
+    bool lane =
+        laneState.load(std::memory_order_acquire) != LaneState::Ready ||
+        laneModule->fromCache();
+    return lane && (!scalarModule || scalarModule->fromCache());
 }
 
 std::vector<std::vector<uint64_t>>
@@ -135,7 +176,7 @@ BatchRunner::seedImages(const Stimulus &s) const
 
 void
 BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
-                             size_t start, size_t count, uint32_t lanes,
+                             size_t start, uint32_t lanes,
                              const CompiledModule &mod,
                              std::vector<LaneResult> &out)
 {
@@ -167,10 +208,8 @@ BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
     mod.bind(inst.inst, regPtrs.data(), memPtrs.data());
     mod.reset(inst.inst, vals.data());
 
-    // Seed: short tail tiles pad with copies of the tile's first
-    // stimulus — a real, terminating input whose results are dropped.
     for (uint32_t l = 0; l < lanes; ++l) {
-        auto imgs = seedImages(batch[start + (l < count ? l : 0)]);
+        auto imgs = seedImages(batch[start + l]);
         for (size_t m = 0; m < numMems; ++m) {
             if (!imgs[m].empty()) {
                 std::copy(imgs[m].begin(), imgs[m].end(),
@@ -208,8 +247,6 @@ BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
             alive[l] = 0;
             --liveCount;
             vals[goBase + l] = 0;
-            if (l >= count)
-                continue; // Padding lane.
             LaneResult &r = out[start + l];
             r.cycles = cycles;
             r.regs.resize(numRegs);
@@ -534,6 +571,52 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
     }
 }
 
+void
+BatchRunner::runCompiled(const std::vector<Stimulus> &batch,
+                         std::vector<LaneResult> &out)
+{
+    const uint32_t L = opts.laneTile;
+    const size_t full = batch.size() / L; // Full tiles.
+    const size_t inTiles = full * L;
+    const bool remainder = inTiles < batch.size();
+
+    if (full && laneState.load(std::memory_order_relaxed) == LaneState::Idle)
+        startLaneBuild();
+    const LaneState state = laneState.load(std::memory_order_acquire);
+    if (full && state == LaneState::Failed)
+        fatal("batched simulation: the lane module failed to build: ",
+              laneError);
+    // compiledModule() is not thread-safe: fetch on the caller.
+    if (!scalarModule && (remainder || (full && state != LaneState::Ready)))
+        scalarModule = prog->compiledModule();
+
+    // One work item per stimulus. The first item of a tile to run
+    // decides the whole tile: lanes if the lane module has landed
+    // (that item runs the tile, its siblings skip), else scalar (every
+    // item runs its own stimulus). Remainder stimuli always run scalar.
+    enum : uint8_t { Undecided, OnLanes, OnScalar };
+    std::vector<std::atomic<uint8_t>> tileMode(full);
+    WorkPool::global().parallelFor(
+        batch.size(), opts.threads, [&](size_t i) {
+            if (i < inTiles) {
+                bool lanes = laneState.load(std::memory_order_acquire) ==
+                             LaneState::Ready;
+                uint8_t mode = Undecided;
+                bool first = tileMode[i / L].compare_exchange_strong(
+                    mode, lanes ? OnLanes : OnScalar);
+                if (first)
+                    mode = lanes ? OnLanes : OnScalar;
+                if (mode == OnLanes) {
+                    if (first)
+                        runCompiledTile(batch, i - i % L, L, *laneModule,
+                                        out);
+                    return;
+                }
+            }
+            runCompiledTile(batch, i, 1, *scalarModule, out);
+        });
+}
+
 std::vector<LaneResult>
 BatchRunner::run(const std::vector<Stimulus> &batch)
 {
@@ -543,43 +626,31 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
     const size_t B = batch.size();
 
     if (opts.engine == Engine::Compiled) {
-        // Fixed lane width (see BatchOptions::laneTile): the one
-        // resident module runs every batch, padding short tiles. A
-        // single tile runs on the caller (the parallelFor over one item
-        // is serial).
-        const uint32_t L = opts.laneTile;
-        const size_t nTiles = (B + L - 1) / L;
-        const CompiledModule &mod = laneModule();
-        WorkPool::global().parallelFor(
-            nTiles, opts.threads, [&](size_t t) {
-                size_t startIdx = t * L;
-                size_t count = std::min<size_t>(L, B - startIdx);
-                runCompiledTile(batch, startIdx, count, L, mod, out);
-            });
-    } else {
-        const uint32_t L =
-            static_cast<uint32_t>(std::min<size_t>(opts.laneTile, B));
-        const size_t nTiles = (B + L - 1) / L;
-        const unsigned inner =
-            opts.threads > 1 && nTiles == 1 ? opts.threads : 1;
-        PartitionRunner *runner = nullptr;
-        if (inner > 1) {
-            if (!innerPlan) {
-                innerPlan = std::make_unique<PartitionPlan>(
-                    buildPartitionPlan(*prog, *plan->sched,
-                                       partitionTarget(), inner));
-                innerRunner = std::make_unique<PartitionRunner>(*innerPlan);
-            }
-            if (innerPlan->parallel())
-                runner = innerRunner.get();
-        }
-        WorkPool::global().parallelFor(
-            nTiles, opts.threads, [&](size_t t) {
-                size_t startIdx = t * L;
-                size_t count = std::min<size_t>(L, B - startIdx);
-                runLevelizedTile(batch, startIdx, count, runner, out);
-            });
+        runCompiled(batch, out);
+        return out;
     }
+    const uint32_t L =
+        static_cast<uint32_t>(std::min<size_t>(opts.laneTile, B));
+    const size_t nTiles = (B + L - 1) / L;
+    const unsigned inner =
+        opts.threads > 1 && nTiles == 1 ? opts.threads : 1;
+    PartitionRunner *runner = nullptr;
+    if (inner > 1) {
+        if (!innerPlan) {
+            innerPlan = std::make_unique<PartitionPlan>(
+                buildPartitionPlan(*prog, *plan->sched,
+                                   partitionTarget(), inner));
+            innerRunner = std::make_unique<PartitionRunner>(*innerPlan);
+        }
+        if (innerPlan->parallel())
+            runner = innerRunner.get();
+    }
+    WorkPool::global().parallelFor(
+        nTiles, opts.threads, [&](size_t t) {
+            size_t startIdx = t * L;
+            size_t count = std::min<size_t>(L, B - startIdx);
+            runLevelizedTile(batch, startIdx, count, runner, out);
+        });
     return out;
 }
 

@@ -1,10 +1,12 @@
 #ifndef CALYX_SIM_BATCH_H
 #define CALYX_SIM_BATCH_H
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/env.h"
@@ -47,11 +49,13 @@ struct BatchOptions
      * the tile instead, running the macro-task partition plan
      * (sim/partition.h) so a lone stimulus still uses the machine
      * where that measures faster than one thread (the plan's runner
-     * decides per run, on a crew held for the tile's loop). A compiled
-     * single-tile batch runs the plain lane module on the caller. The
-     * two levels never stack: inner partitioning engages only when the
-     * outer tile loop is serial, so occupancy stays at `threads`
-     * either way (see docs/simulation.md "Partitioned execution").
+     * decides per run, on a crew held for the tile's loop). Compiled
+     * batches are spread one stimulus per work item (a full tile on
+     * lanes is run by its first item; see laneTile), so a batch of one
+     * runs on the caller. The two levels never stack: inner
+     * partitioning engages only when the outer tile loop is serial, so
+     * occupancy stays at `threads` either way (see docs/simulation.md
+     * "Partitioned execution").
      */
     unsigned threads = 1;
     /**
@@ -59,11 +63,12 @@ struct BatchOptions
      * lanes; each tile is one schedule walk (levelized) or one lane
      * module pass (compiled) and one work item for the thread pool.
      *
-     * The compiled engine runs at this width *fixed*: one resident
-     * JIT module (compiled for exactly laneTile lanes) serves every
-     * batch size, with short batches padding dead lanes — a serve
-     * process never recompiles because request shapes vary, at the
-     * cost of single-stimulus runs paying a full tile pass. 16 lanes
+     * The compiled engine runs full tiles at this width *fixed*, on
+     * one resident lane module compiled for exactly laneTile lanes, so
+     * a serve process never recompiles because request shapes vary.
+     * Stimuli that cannot fill a tile (the B mod laneTile remainder)
+     * run one by one on the scalar module CycleSim uses (on gemm one
+     * tile pass costs about as much as a dozen scalar runs). 16 lanes
      * is the measured sweet spot on AVX-512 hosts: two 8×u64 vectors
      * per plane op, and a gemm-sized working set still L1-resident.
      * The levelized engine narrows tiles to the batch instead (its
@@ -97,14 +102,23 @@ struct BatchOptions
  * Tiles own disjoint state, so they parallelize over the work-stealing
  * pool (support/pool.h) without locks.
  *
- * A BatchRunner is resident: construction resolves the schedule, the
- * driver tables, and (compiled engine) the JIT module once, and run()
- * reuses them for every subsequent batch — the object `futil --serve`
- * keeps alive across requests. Construction fatal()s on programs with
- * groups (batching needs fully-lowered programs), on Engine::Jacobi
- * (the oracle stays scalar), and on anything CompiledModule::load
- * rejects. Observers are rejected by design: batched runs have no
- * probe hookup (docs/simulation.md, docs/observability.md).
+ * A BatchRunner is resident: construction resolves the schedule and
+ * the driver tables once, and run() reuses them for every subsequent
+ * batch — the object `futil --serve` keeps alive across requests.
+ * Compiled modules load lazily. The first run with a remainder fetches
+ * the scalar module (SimProgram::compiledModule()) on the calling
+ * thread; the first run with a full tile starts the lane module's
+ * build on a background thread and never waits for it. Until it lands,
+ * full tiles run stimulus by stimulus on the scalar module; each tile
+ * begun after it lands runs on lanes. A failed lane build fails every
+ * later run that has a full tile (batches below one tile keep
+ * running). The destructor joins a build in flight.
+ *
+ * Construction fatal()s on programs with groups (batching needs
+ * fully-lowered programs) and on Engine::Jacobi (the oracle stays
+ * scalar); run() fatal()s on anything CompiledModule::load rejects.
+ * Observers are rejected by design: batched runs have no probe hookup
+ * (docs/simulation.md, docs/observability.md).
  */
 class BatchRunner
 {
@@ -126,13 +140,20 @@ class BatchRunner
     /** Flattened word count of memory slot `m`. */
     uint64_t memSize(size_t m) const { return memSizes[m]; }
 
-    /** Times a JIT module was loaded (compiled engine; a resident
-     * runner serving many batches of one shape loads exactly once). */
-    uint64_t moduleLoads() const { return loads; }
+    /** JIT modules loaded so far (compiled engine): at most two, the
+     * scalar module and the lane module, however many runs follow. */
+    uint64_t moduleLoads() const;
 
     /** True when every load so far was served from the on-disk object
      * cache without invoking the host compiler. */
-    bool modulesFromCache() const { return allFromCache; }
+    bool modulesFromCache() const;
+
+    /**
+     * Start the lane module's build if no run has, and block until it
+     * lands; fatal() if it failed. run() never waits for the build:
+     * this is for callers that must time or test the lane path itself.
+     */
+    void awaitLaneModule();
 
     const BatchOptions &options() const { return opts; }
 
@@ -140,14 +161,15 @@ class BatchRunner
     struct LevelizedPlan;
 
     void runCompiledTile(const std::vector<Stimulus> &batch, size_t start,
-                         size_t count, uint32_t lanes,
+                         uint32_t lanes,
                          const CompiledModule &mod,
                          std::vector<LaneResult> &out);
     void runLevelizedTile(const std::vector<Stimulus> &batch, size_t start,
                           size_t count, PartitionRunner *runner,
                           std::vector<LaneResult> &out);
-    /** The lane module at opts.laneTile lanes, loaded once. */
-    const CompiledModule &laneModule();
+    void runCompiled(const std::vector<Stimulus> &batch,
+                     std::vector<LaneResult> &out);
+    void startLaneBuild();
 
     /// Per-memory-slot lane image for one stimulus (resolved indices).
     std::vector<std::vector<uint64_t>> seedImages(const Stimulus &s) const;
@@ -161,9 +183,16 @@ class BatchRunner
     std::vector<uint64_t> memSizes;
     std::map<std::string, size_t> memSlotByPath;
 
-    std::shared_ptr<CompiledModule> module; ///< Compiled engine only.
-    uint64_t loads = 0;
-    bool allFromCache = true;
+    // Compiled engine only. The scalar module is set on the calling
+    // thread. The lane module is set by the `laneBuild` thread before
+    // it publishes Ready or Failed (release); read it only after an
+    // acquire load of `laneState` says so.
+    enum class LaneState : uint8_t { Idle, Building, Ready, Failed };
+    std::shared_ptr<CompiledModule> scalarModule;
+    std::shared_ptr<CompiledModule> laneModule;
+    std::string laneError;
+    std::atomic<LaneState> laneState{LaneState::Idle};
+    std::thread laneBuild;
 
     std::unique_ptr<LevelizedPlan> plan; ///< Levelized engine only.
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -119,10 +120,19 @@ writeFile(const std::string &path, const std::string &data)
 }
 
 /**
- * Process-wide registry of loaded modules by source digest. weak_ptr
- * so a module unloads (dlclose) once every SimState using it is gone,
- * while concurrent users share one handle.
+ * Process-wide registry of modules by source digest: the loaded module
+ * (weak_ptr, so it unloads once every user is gone, while concurrent
+ * users share one handle), or the build in flight, which loads of the
+ * same digest wait on instead of building it again. The mutex guards
+ * lookups and updates only; builds run outside it, so loads of
+ * different modules overlap.
  */
+struct RegistrySlot
+{
+    std::weak_ptr<CompiledModule> mod;
+    std::shared_future<std::shared_ptr<CompiledModule>> building;
+};
+
 std::mutex &
 registryMutex()
 {
@@ -130,10 +140,10 @@ registryMutex()
     return m;
 }
 
-std::map<std::string, std::weak_ptr<CompiledModule>> &
+std::map<std::string, RegistrySlot> &
 registry()
 {
-    static std::map<std::string, std::weak_ptr<CompiledModule>> r;
+    static std::map<std::string, RegistrySlot> r;
     return r;
 }
 
@@ -186,7 +196,8 @@ splitShards(const std::string &source, size_t groups)
  * as parallel shards (compiler startup dominates). */
 constexpr size_t shardSourceBytes = 256 * 1024;
 
-/** Compile `source` into the shared object `tmp`. Sources build as a
+/** Compile `source`, already written to `cc`, into the shared object
+ * `tmp`. Sources build as a
  * single translation unit unless the host has multiple hardware
  * threads and the source is big and marker-split, in which case one
  * byte-balanced object per thread is compiled in parallel, then
@@ -291,16 +302,36 @@ compileSource(const std::string &cxx, const std::string &source,
     }
 }
 
-template <typename Fn>
-Fn
-resolveSym(void *handle, const char *name, const std::string &so)
+/** Write `source` to a temporary next to `so`, compile it, and return
+ * the temporary object's path (not yet renamed into place). The name
+ * is unique per process and build, so a concurrent build of the same
+ * digest in another process never truncates this one's input, and no
+ * earlier dlopen() in this process has used the object's name. */
+std::string
+buildObject(const std::string &source, const std::string &so,
+            uint32_t lanes)
 {
-    void *sym = dlsym(handle, name);
-    if (!sym) {
-        fatal("compiled engine: symbol ", name, " missing from ", so,
-              " (stale or foreign cache object; remove it and rerun)");
+    std::string cxx = hostCompiler();
+    if (cxx.empty())
+        fatal("compiled engine: ", compiledEngineUnavailableReason());
+    static std::atomic<uint64_t> builds{0};
+    std::string tmp = so + ".tmp." + std::to_string(getpid()) + "." +
+                      std::to_string(builds++);
+    std::string cc = tmp + ".cc";
+    if (!writeFile(cc, source))
+        fatal("compiled engine: cannot write ", cc);
+    try {
+        compileSource(cxx, source, cc, tmp, lanes);
+    } catch (...) {
+        unlink(cc.c_str());
+        throw;
     }
-    return reinterpret_cast<Fn>(sym);
+    // Keep the source next to its object (`<digest>.cc`), for reading
+    // what a cached module was built from.
+    std::string keep = so.substr(0, so.size() - 3) + ".cc";
+    if (rename(cc.c_str(), keep.c_str()) != 0)
+        unlink(cc.c_str());
+    return tmp;
 }
 
 } // namespace
@@ -340,10 +371,48 @@ CompiledModule::load(const SimProgram &prog, bool probe, uint32_t lanes,
     std::string source = src.str();
     std::string digest = contentDigest(source);
 
-    std::lock_guard<std::mutex> lock(registryMutex());
-    if (auto existing = registry()[digest].lock())
-        return existing;
+    // Find the module loaded, or the build in flight, or claim the
+    // build; only the lookup holds the lock.
+    std::promise<std::shared_ptr<CompiledModule>> built;
+    std::shared_future<std::shared_ptr<CompiledModule>> pending;
+    {
+        std::lock_guard<std::mutex> lock(registryMutex());
+        RegistrySlot &slot = registry()[digest];
+        if (auto existing = slot.mod.lock())
+            return existing;
+        pending = slot.building;
+        if (!pending.valid())
+            slot.building = built.get_future().share();
+    }
+    if (pending.valid())
+        return pending.get(); // Rethrows the builder's error.
 
+    std::shared_ptr<CompiledModule> mod;
+    try {
+        mod = build(prog, source, digest, probe, lanes, partitions);
+    } catch (...) {
+        {
+            std::lock_guard<std::mutex> lock(registryMutex());
+            registry()[digest].building = {};
+        }
+        built.set_exception(std::current_exception());
+        throw;
+    }
+    {
+        std::lock_guard<std::mutex> lock(registryMutex());
+        RegistrySlot &slot = registry()[digest];
+        slot.mod = mod;
+        slot.building = {};
+    }
+    built.set_value(mod);
+    return mod;
+}
+
+std::shared_ptr<CompiledModule>
+CompiledModule::build(const SimProgram &prog, const std::string &source,
+                      const std::string &digest, bool probe, uint32_t lanes,
+                      uint32_t partitions)
+{
     std::string dir = compiledCacheDir();
     if (!makeDirs(dir)) {
         fatal("compiled engine: cannot create cache directory ", dir, ": ",
@@ -353,99 +422,106 @@ CompiledModule::load(const SimProgram &prog, bool probe, uint32_t lanes,
 
     auto mod = std::shared_ptr<CompiledModule>(new CompiledModule);
     mod->soPath = so;
-    mod->cached = fileExists(so);
-
-    if (!mod->cached) {
-        std::string cxx = hostCompiler();
-        if (cxx.empty())
-            fatal("compiled engine: ", compiledEngineUnavailableReason());
-
-        std::string cc = dir + "/" + digest + ".cc";
-        if (!writeFile(cc, source))
-            fatal("compiled engine: cannot write ", cc);
-
-        // Compile into a pid-unique temporary, then atomically rename:
-        // concurrent builds of the same program race benignly.
-        std::string tmp = so + ".tmp." + std::to_string(getpid());
-        compileSource(cxx, source, cc, tmp, lanes);
-        if (rename(tmp.c_str(), so.c_str()) != 0) {
-            unlink(tmp.c_str());
-            fatal("compiled engine: cannot move ", tmp, " to ", so, ": ",
-                  std::strerror(errno));
+    if (fileExists(so)) {
+        if (mod->open(so, prog, probe, lanes, partitions).empty()) {
+            mod->cached = true;
+            return mod;
         }
+        // A cached object that does not load or does not match is
+        // untrusted: evict it and build it once more below.
+        unlink(so.c_str());
     }
 
-    mod->handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (!mod->handle)
-        fatal("compiled engine: dlopen ", so, ": ", dlerror());
-
-    auto abi = resolveSym<uint32_t (*)()>(mod->handle, "cppsim_abi", so);
-    if (abi() != emit::cppsimAbiVersion) {
-        fatal("compiled engine: ", so, " has ABI version ", abi(),
-              ", expected ", emit::cppsimAbiVersion,
-              " (stale cache object; remove it and rerun)");
+    // Open the fresh object under its temporary name, and only move it
+    // into the cache once it checks out.
+    std::string tmp = buildObject(source, so, lanes);
+    if (std::string why = mod->open(tmp, prog, probe, lanes, partitions);
+        !why.empty()) {
+        unlink(tmp.c_str());
+        fatal("compiled engine: freshly built ", so, ": ", why);
     }
+    if (rename(tmp.c_str(), so.c_str()) != 0) {
+        unlink(tmp.c_str());
+        fatal("compiled engine: cannot move ", tmp, " to ", so, ": ",
+              std::strerror(errno));
+    }
+    return mod;
+}
 
-    mod->ports = resolveSym<uint32_t (*)()>(mod->handle,
-                                            "cppsim_num_ports", so)();
-    mod->regs = resolveSym<uint32_t (*)()>(mod->handle, "cppsim_num_regs",
-                                           so)();
-    mod->mems = resolveSym<uint32_t (*)()>(mod->handle, "cppsim_num_mems",
-                                           so)();
+std::string
+CompiledModule::open(const std::string &path, const SimProgram &prog,
+                     bool probe, uint32_t want_lanes, uint32_t partitions)
+{
+    handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
+    if (!handle)
+        return std::string("dlopen: ") + dlerror();
+    std::string why;
+    auto sym = [&](const char *name) -> void * {
+        void *p = dlsym(handle, name);
+        if (!p && why.empty())
+            why = std::string("symbol ") + name + " missing";
+        return p;
+    };
+    auto count = [&](const char *name) -> uint32_t {
+        auto fn = reinterpret_cast<uint32_t (*)()>(sym(name));
+        return fn ? fn() : 0;
+    };
+
+    auto require = [&](bool ok, const std::string &what) {
+        if (!ok && why.empty())
+            why = what;
+    };
+    uint32_t abi = count("cppsim_abi");
+    require(abi == emit::cppsimAbiVersion,
+            "ABI version " + std::to_string(abi) + ", expected " +
+                std::to_string(emit::cppsimAbiVersion));
+    ports = count("cppsim_num_ports");
+    regs = count("cppsim_num_regs");
+    mems = count("cppsim_num_mems");
     // Optional symbol: scalar modules predate lane support and omit it.
     auto num_lanes = reinterpret_cast<uint32_t (*)()>(
-        dlsym(mod->handle, "cppsim_num_lanes"));
-    mod->lanes = num_lanes ? num_lanes() : 1;
-    if (mod->lanes != lanes) {
-        fatal("compiled engine: ", so, " was built for ", mod->lanes,
-              " lanes but ", lanes,
-              " were requested (hash collision or stale cache; remove it "
-              "and rerun)");
-    }
-    mod->fnMemSize = resolveSym<uint64_t (*)(uint32_t)>(
-        mod->handle, "cppsim_mem_size", so);
-    mod->drivenMask = resolveSym<const unsigned char *(*)()>(
-        mod->handle, "cppsim_driven", so)();
-    mod->fnNew = resolveSym<void *(*)()>(mod->handle, "cppsim_new", so);
-    mod->fnFree = resolveSym<void (*)(void *)>(mod->handle, "cppsim_free",
-                                               so);
-    mod->fnBind = resolveSym<void (*)(void *, uint64_t **, uint64_t **)>(
-        mod->handle, "cppsim_bind", so);
-    mod->fnReset = resolveSym<void (*)(void *, uint64_t *)>(
-        mod->handle, "cppsim_reset", so);
-    mod->fnEval = resolveSym<void (*)(void *, uint64_t *)>(
-        mod->handle, "cppsim_eval", so);
-    mod->fnClock = resolveSym<void (*)(void *, uint64_t *)>(
-        mod->handle, "cppsim_clock", so);
-    mod->fnError = resolveSym<const char *(*)(void *)>(
-        mod->handle, "cppsim_error", so);
-    // Only partitioned modules export the partition ABI; its task
-    // count is the partitioner's output for this design, so only the
-    // ABI's presence is checked.
-    if (partitions > 1 && !dlsym(mod->handle, "cppsim_num_partitions")) {
-        fatal("compiled engine: ", so,
-              " lacks the partition ABI despite a partitioned build "
-              "(stale cache object; remove it and rerun)");
-    }
-    // Optional: only probed modules export it, so plain dlsym rather
-    // than the fatal()ing resolveSym.
-    mod->fnSetProbe = reinterpret_cast<void (*)(
+        dlsym(handle, "cppsim_num_lanes"));
+    lanes = num_lanes ? num_lanes() : 1;
+    fnMemSize = reinterpret_cast<uint64_t (*)(uint32_t)>(
+        sym("cppsim_mem_size"));
+    auto drivenFn = reinterpret_cast<const unsigned char *(*)()>(
+        sym("cppsim_driven"));
+    drivenMask = drivenFn ? drivenFn() : nullptr;
+    fnNew = reinterpret_cast<void *(*)()>(sym("cppsim_new"));
+    fnFree = reinterpret_cast<void (*)(void *)>(sym("cppsim_free"));
+    fnBind = reinterpret_cast<void (*)(void *, uint64_t **, uint64_t **)>(
+        sym("cppsim_bind"));
+    fnReset = reinterpret_cast<void (*)(void *, uint64_t *)>(
+        sym("cppsim_reset"));
+    fnEval = reinterpret_cast<void (*)(void *, uint64_t *)>(
+        sym("cppsim_eval"));
+    fnClock = reinterpret_cast<void (*)(void *, uint64_t *)>(
+        sym("cppsim_clock"));
+    fnError = reinterpret_cast<const char *(*)(void *)>(
+        sym("cppsim_error"));
+    // Optional: only probed modules export it.
+    fnSetProbe = reinterpret_cast<void (*)(
         void *, void (*)(void *, const uint64_t *), void *)>(
-        dlsym(mod->handle, "cppsim_set_probe"));
-    if (probe && !mod->fnSetProbe) {
-        fatal("compiled engine: ", so,
-              " lacks cppsim_set_probe despite a probed build (stale "
-              "cache object; remove it and rerun)");
-    }
+        dlsym(handle, "cppsim_set_probe"));
 
-    if (mod->ports != prog.numPorts()) {
-        fatal("compiled engine: ", so, " was built for ", mod->ports,
-              " ports but the program has ", prog.numPorts(),
-              " (hash collision or stale cache; remove it and rerun)");
+    require(lanes == want_lanes,
+            "built for " + std::to_string(lanes) + " lanes but " +
+                std::to_string(want_lanes) + " were requested");
+    // Only partitioned modules export the partition ABI; its task count
+    // is the partitioner's output for this design, so only the ABI's
+    // presence is checked.
+    require(partitions <= 1 || dlsym(handle, "cppsim_num_partitions"),
+            "no partition ABI in a partitioned build");
+    require(!probe || fnSetProbe, "no cppsim_set_probe in a probed build");
+    require(ports == prog.numPorts(),
+            "built for " + std::to_string(ports) +
+                " ports but the program has " +
+                std::to_string(prog.numPorts()));
+    if (!why.empty()) {
+        dlclose(handle);
+        handle = nullptr;
     }
-
-    registry()[digest] = mod;
-    return mod;
+    return why;
 }
 
 CompiledModule::~CompiledModule()

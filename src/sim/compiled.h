@@ -22,29 +22,38 @@ class SimProgram;
  *   $CALYX_CPPSIM_CACHE, else $XDG_CACHE_HOME/calyx-cppsim,
  *   else $HOME/.cache/calyx-cppsim, else /tmp/calyx-cppsim
  *
- * as `<digest>.so`. A second run of the same program dlopen()s the
- * cached object without invoking the compiler; compilation writes to a
- * unique temporary and rename()s it into place so concurrent processes
- * race benignly. Loaded modules are additionally shared process-wide
- * through a weak_ptr registry keyed by the same digest, so many
- * SimStates over the same program share one dlopen() handle.
+ * as `<digest>.so`, next to the `<digest>.cc` it was built from. A
+ * second run of the same program dlopen()s the cached object without
+ * invoking the compiler. A cached object that fails to load or does
+ * not match (ABI version, lane count, port count, missing symbols) is
+ * deleted and rebuilt once. A build writes its source and object to
+ * pid-unique temporaries, checks the object loads, and rename()s it
+ * into place, so concurrent processes race benignly. Loaded modules
+ * are shared process-wide through a registry keyed by the same digest:
+ * many SimStates over one program share one dlopen() handle, loads of
+ * one digest in flight at once share one build, and loads of
+ * different digests build concurrently.
  *
  * The toolchain is `$CXX` when set, else the first of c++/g++/clang++
- * on PATH, invoked as `<cxx> -O2 -shared -fPIC -std=c++17` (override
- * the flags with $CALYX_CPPSIM_CXXFLAGS, whitespace-separated). When
- * no compiler exists the constructor fatal()s with the reason
- * compiledEngineUnavailableReason() reports, so callers can probe and
- * fall back gracefully.
+ * on PATH, invoked with `-shared -fPIC -std=c++17` plus an
+ * optimization level that drops as the generated source grows:
+ * `-O2`/`-O1`/`-O0` for scalar modules, and `-O3 -march=native`
+ * (`-O1` past 8 MB) for lane modules, whose per-lane loops need the
+ * vectorizer. $CALYX_CPPSIM_CXXFLAGS (whitespace-separated) replaces
+ * the whole flag set. When no compiler exists load() fatal()s with
+ * the reason compiledEngineUnavailableReason() reports, so callers can
+ * probe and fall back gracefully.
  */
 class CompiledModule
 {
   public:
     /**
      * Codegen `prog`, then reuse a process- or disk-cached object when
-     * the generated source matches, else compile. fatal() on codegen
-     * rejection (groups, unconditional combinational cycles), missing
-     * toolchain, compiler failure (with the compiler's output), or an
-     * ABI/shape mismatch in a loaded object.
+     * the generated source matches, else compile. Thread-safe.
+     * fatal() on codegen rejection (groups, unconditional
+     * combinational cycles), missing toolchain, compiler failure (with
+     * the compiler's output), or an ABI/shape mismatch in a freshly
+     * built object.
      *
      * `probe` requests the observability variant (emit/cppsim.h,
      * CppSimOptions::probe): eval() ends with a callback carrying the
@@ -133,6 +142,19 @@ class CompiledModule
 
   private:
     CompiledModule() = default;
+
+    /** The cached object for `digest` if it loads and matches, else a
+     * fresh build of `source` (evicting a bad cached object first). */
+    static std::shared_ptr<CompiledModule>
+    build(const SimProgram &prog, const std::string &source,
+          const std::string &digest, bool probe, uint32_t lanes,
+          uint32_t partitions);
+
+    /** dlopen() `path` and resolve the ABI into this module. "" on
+     * success, else why the object does not match (and nothing stays
+     * open). */
+    std::string open(const std::string &path, const SimProgram &prog,
+                     bool probe, uint32_t want_lanes, uint32_t partitions);
 
     void *handle = nullptr;
     std::string soPath;

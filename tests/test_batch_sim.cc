@@ -4,9 +4,13 @@
  * register state, memory images, per lane — to N scalar CycleSim runs,
  * on both the levelized and compiled engines, including batches whose
  * lanes take divergent control paths (a while loop bounded by a value
- * loaded from memory) and batches cut into tiles with a padded tail.
- * Also covers the work-stealing pool the tiles are spread over, and
- * the construction-time rejections (groups, the Jacobi oracle).
+ * loaded from memory) and batches cut into tiles with a remainder.
+ * On the compiled engine it also covers the routing between the lane
+ * module (full tiles) and the scalar module (remainders, and every
+ * tile issued while the lane module is still building), and a lane
+ * build that fails. Also covers the work-stealing pool the tiles are
+ * spread over, and the construction-time rejections (groups, the
+ * Jacobi oracle).
  */
 #include <gtest/gtest.h>
 
@@ -71,6 +75,34 @@ runScalar(const Context &ctx, const sim::Stimulus &stim, sim::Engine engine)
 }
 
 void
+expectResultsMatch(const std::vector<sim::LaneResult> &results,
+                   const std::vector<ScalarRef> &refs,
+                   const std::string &label)
+{
+    ASSERT_EQ(results.size(), refs.size()) << label;
+    for (size_t l = 0; l < refs.size(); ++l) {
+        EXPECT_EQ(refs[l].cycles, results[l].cycles)
+            << label << ": cycle count diverges in lane " << l;
+        EXPECT_EQ(refs[l].regs, results[l].regs)
+            << label << ": register state diverges in lane " << l;
+        EXPECT_EQ(refs[l].mems, results[l].mems)
+            << label << ": memory state diverges in lane " << l;
+    }
+}
+
+std::vector<ScalarRef>
+scalarRefs(const Context &ctx, const std::vector<sim::Stimulus> &batch,
+           sim::Engine engine)
+{
+    std::vector<ScalarRef> refs;
+    for (const sim::Stimulus &stim : batch)
+        refs.push_back(runScalar(ctx, stim, engine));
+    return refs;
+}
+
+/** Compiled runners run full tiles on the lane module once it has
+ * landed; wait for it so the lane path is what gets checked. */
+void
 expectBatchMatchesScalar(const Context &ctx,
                          const std::vector<sim::Stimulus> &batch,
                          const sim::BatchOptions &opts,
@@ -78,20 +110,24 @@ expectBatchMatchesScalar(const Context &ctx,
 {
     sim::SimProgram sp(ctx, ctx.entrypoint());
     sim::BatchRunner runner(sp, opts);
-    auto results = runner.run(batch);
-    ASSERT_EQ(results.size(), batch.size()) << label;
-    for (size_t l = 0; l < batch.size(); ++l) {
-        ScalarRef ref = runScalar(ctx, batch[l], opts.engine);
-        EXPECT_EQ(ref.cycles, results[l].cycles)
-            << label << ": cycle count diverges in lane " << l << " ("
-            << sim::engineName(opts.engine) << ")";
-        EXPECT_EQ(ref.regs, results[l].regs)
-            << label << ": register state diverges in lane " << l << " ("
-            << sim::engineName(opts.engine) << ")";
-        EXPECT_EQ(ref.mems, results[l].mems)
-            << label << ": memory state diverges in lane " << l << " ("
-            << sim::engineName(opts.engine) << ")";
+    if (opts.engine == sim::Engine::Compiled)
+        runner.awaitLaneModule();
+    expectResultsMatch(runner.run(batch),
+                       scalarRefs(ctx, batch, opts.engine),
+                       label + " (" + sim::engineName(opts.engine) + ")");
+}
+
+/** Divergent stimuli for the data-bounded loop, one per bound. */
+std::vector<sim::Stimulus>
+boundStimuli(const std::vector<uint64_t> &bounds)
+{
+    std::vector<sim::Stimulus> batch;
+    for (uint64_t b : bounds) {
+        sim::Stimulus s;
+        s.mems.emplace_back("bound", std::vector<uint64_t>{b});
+        batch.push_back(std::move(s));
     }
+    return batch;
 }
 
 /**
@@ -176,13 +212,8 @@ TEST(BatchSim, DivergentControlPathsPerLane)
     passes::runPipeline(ctx, "all");
     // Divergent trip counts, deliberately out of order, including the
     // zero-trip edge and lanes that straddle tile boundaries.
-    std::vector<uint64_t> bounds = {5, 0, 13, 1, 7, 2, 9, 0, 4, 11};
-    std::vector<sim::Stimulus> batch;
-    for (uint64_t b : bounds) {
-        sim::Stimulus s;
-        s.mems.emplace_back("bound", std::vector<uint64_t>{b});
-        batch.push_back(std::move(s));
-    }
+    std::vector<sim::Stimulus> batch =
+        boundStimuli({5, 0, 13, 1, 7, 2, 9, 0, 4, 11});
     for (sim::Engine engine : batchEngines()) {
         sim::BatchOptions opts;
         opts.engine = engine;
@@ -220,13 +251,155 @@ TEST(BatchSim, PolybenchDivergentDataPerLane)
     for (sim::Engine engine : batchEngines()) {
         sim::BatchOptions opts;
         opts.engine = engine;
-        opts.laneTile = 4; // Padded 2-lane tail tile.
+        opts.laneTile = 4; // Two full tiles and a remainder of two.
         opts.threads = 2;
         expectBatchMatchesScalar(ctx, batch, opts, "gemm");
     }
 }
 
-TEST(BatchSim, ResidentRunnerReusesOneModule)
+/** gemm with per-stimulus data, and every example, at batch sizes
+ * around the 16-lane tile: 1 and 15 (scalar only), 16 (one tile), 17
+ * and 33 (tiles plus a remainder), on 1 and 3 threads. */
+TEST(BatchSim, CompiledRoutingMatchesScalarAcrossBatchSizes)
+{
+    if (!sim::compiledEngineUnavailableReason().empty())
+        GTEST_SKIP() << sim::compiledEngineUnavailableReason();
+    struct Case
+    {
+        std::string label;
+        Context ctx;
+        std::vector<sim::Stimulus> stimuli; ///< 33 of them.
+    };
+    std::vector<Case> cases;
+    {
+        dahlia::Program prog =
+            dahlia::parse(workloads::kernel("gemm").source);
+        Case c{"gemm", dahlia::compileDahlia(prog), {}};
+        workloads::MemState base = workloads::makeInputs("gemm", prog);
+        for (uint64_t lane = 0; lane < 33; ++lane) {
+            workloads::MemState inputs = base;
+            for (auto &[name, data] : inputs)
+                for (size_t i = 0; i < data.size(); ++i)
+                    data[i] += lane * (i % 5);
+            c.stimuli.push_back(workloads::makeStimulus(prog, inputs));
+        }
+        cases.push_back(std::move(c));
+    }
+    namespace fs = std::filesystem;
+    for (const auto &entry : fs::directory_iterator(CALYX_EXAMPLES_DIR)) {
+        if (entry.path().extension() != ".futil")
+            continue;
+        std::ifstream in(entry.path());
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        cases.push_back({entry.path().filename().string(),
+                         Parser::parseProgram(buffer.str()),
+                         std::vector<sim::Stimulus>(33)});
+    }
+    for (Case &c : cases) {
+        passes::runPipeline(c.ctx, "all");
+        std::vector<ScalarRef> refs =
+            scalarRefs(c.ctx, c.stimuli, sim::Engine::Compiled);
+        sim::SimProgram sp(c.ctx, c.ctx.entrypoint());
+        for (unsigned threads : {1u, 3u}) {
+            sim::BatchOptions opts;
+            opts.engine = sim::Engine::Compiled;
+            opts.threads = threads;
+            sim::BatchRunner runner(sp, opts);
+            runner.awaitLaneModule();
+            for (size_t size : {1, 15, 16, 17, 33}) {
+                std::vector<sim::Stimulus> batch(c.stimuli.begin(),
+                                                 c.stimuli.begin() + size);
+                expectResultsMatch(
+                    runner.run(batch),
+                    std::vector<ScalarRef>(refs.begin(), refs.begin() + size),
+                    c.label + " batch " + std::to_string(size) + " x" +
+                        std::to_string(threads));
+            }
+        }
+    }
+}
+
+TEST(BatchSim, BatchDuringLaneBuildRunsOnScalar)
+{
+    if (!sim::compiledEngineUnavailableReason().empty())
+        GTEST_SKIP() << sim::compiledEngineUnavailableReason();
+    testing::ScopedCacheDir cache;
+    testing::ScopedTempDir tools("calyx-fake-cxx");
+    testing::ScopedEnv cxx(
+        "CXX", testing::fakeCompiler(tools.path(), "slow-lane-cxx",
+                                     "case \"$*\" in *-march=native*) "
+                                     "sleep 3;; esac\n"
+                                     "exec \"$REAL\" \"$@\""));
+    Context ctx = Parser::parseProgram(kDataBoundedLoop);
+    passes::runPipeline(ctx, "all");
+    std::vector<sim::Stimulus> batch =
+        boundStimuli({5, 0, 13, 1, 7, 2, 9, 0, 4, 11});
+    std::vector<ScalarRef> refs =
+        scalarRefs(ctx, batch, sim::Engine::Levelized);
+
+    sim::SimProgram sp(ctx, ctx.entrypoint());
+    sim::BatchOptions opts;
+    opts.engine = sim::Engine::Compiled;
+    opts.laneTile = 4;
+    opts.threads = 2;
+    sim::BatchRunner runner(sp, opts);
+    // Two full tiles start the lane build; the run does not wait for
+    // it, so everything ran on the scalar module.
+    expectResultsMatch(runner.run(batch), refs, "lane build in flight");
+    EXPECT_EQ(runner.moduleLoads(), 1u) << "the run waited for lanes";
+
+    runner.awaitLaneModule();
+    EXPECT_EQ(runner.moduleLoads(), 2u);
+    expectResultsMatch(runner.run(batch), refs, "lane module landed");
+}
+
+TEST(BatchSim, FailedLaneBuildFailsFullTilesOnly)
+{
+    if (!sim::compiledEngineUnavailableReason().empty())
+        GTEST_SKIP() << sim::compiledEngineUnavailableReason();
+    testing::ScopedCacheDir cache;
+    testing::ScopedTempDir tools("calyx-fake-cxx");
+    testing::ScopedEnv cxx(
+        "CXX", testing::fakeCompiler(tools.path(), "no-lane-cxx",
+                                     "case \"$*\" in *-march=native*) "
+                                     "echo no lanes here >&2; exit 1;; "
+                                     "esac\n"
+                                     "exec \"$REAL\" \"$@\""));
+    Context ctx = Parser::parseProgram(kDataBoundedLoop);
+    passes::runPipeline(ctx, "all");
+    std::vector<sim::Stimulus> tile = boundStimuli({3, 1, 4, 1});
+    std::vector<sim::Stimulus> partial = boundStimuli({5, 9, 2});
+
+    sim::SimProgram sp(ctx, ctx.entrypoint());
+    sim::BatchOptions opts;
+    opts.engine = sim::Engine::Compiled;
+    opts.laneTile = 4;
+    sim::BatchRunner runner(sp, opts);
+    try {
+        runner.awaitLaneModule();
+        FAIL() << "a failed lane build went unreported";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("no lanes here"),
+                  std::string::npos)
+            << e.what();
+    }
+    try {
+        runner.run(tile);
+        FAIL() << "a full tile ran without its lane module";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("lane module failed"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Less than a tile still runs, on the scalar module.
+    expectResultsMatch(runner.run(partial),
+                       scalarRefs(ctx, partial, sim::Engine::Levelized),
+                       "after a failed lane build");
+    EXPECT_EQ(runner.moduleLoads(), 1u);
+}
+
+TEST(BatchSim, ResidentRunnerLoadsTwoModulesOnce)
 {
     if (!sim::compiledEngineUnavailableReason().empty())
         GTEST_SKIP() << sim::compiledEngineUnavailableReason();
@@ -237,17 +410,20 @@ TEST(BatchSim, ResidentRunnerReusesOneModule)
     opts.engine = sim::Engine::Compiled;
     opts.laneTile = 8;
     sim::BatchRunner runner(sp, opts);
-    std::vector<sim::Stimulus> batch(8);
-    for (uint64_t b = 0; b < 8; ++b)
-        batch[b].mems.emplace_back("bound", std::vector<uint64_t>{b});
+    // One full tile and a remainder: both kinds of module.
+    std::vector<sim::Stimulus> batch =
+        boundStimuli({0, 1, 2, 3, 4, 5, 6, 7, 8});
+    runner.run(batch);
+    runner.awaitLaneModule();
+    EXPECT_EQ(runner.moduleLoads(), 2u);
     for (int round = 0; round < 5; ++round) {
         auto results = runner.run(batch);
-        for (uint64_t b = 1; b < 8; ++b)
+        for (uint64_t b = 1; b < batch.size(); ++b)
             EXPECT_EQ(results[b].regs[0], 3 * b)
                 << "round " << round << " lane " << b;
     }
-    // The JIT module is resident: one load serves every batch.
-    EXPECT_EQ(runner.moduleLoads(), 1u);
+    // Both modules are resident: the count does not grow with runs.
+    EXPECT_EQ(runner.moduleLoads(), 2u);
 }
 
 TEST(BatchSim, RejectsJacobiAndGroups)

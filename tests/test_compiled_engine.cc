@@ -4,7 +4,11 @@
  * with did-you-mean, backend registration, end-to-end equivalence on
  * the canonical counter program, the content-addressed disk cache
  * (second load must not recompile or add files), rejection of forces
- * on computed ports, and rejection of unlowered programs.
+ * on computed ports, and rejection of unlowered programs. Also the
+ * loader's concurrency and distrust of disk: loads of different
+ * modules overlap, loads of one module share one build, two processes
+ * racing on one digest both succeed, and a truncated or foreign cached
+ * object is rebuilt (while a bad fresh build is an error).
  *
  * Everything that invokes the host toolchain is skipped — not failed —
  * when compiledEngineUnavailableReason() reports no compiler.
@@ -13,8 +17,12 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "emit/backend.h"
@@ -25,6 +33,7 @@
 #include "sim/cycle_sim.h"
 #include "sim/env.h"
 #include "support/error.h"
+#include "support/subprocess.h"
 
 namespace calyx {
 namespace {
@@ -38,50 +47,7 @@ namespace fs = std::filesystem;
             GTEST_SKIP() << reason;                                       \
     } while (0)
 
-/** Point $CALYX_CPPSIM_CACHE at a fresh directory for one test. */
-class ScopedCacheDir
-{
-  public:
-    ScopedCacheDir()
-    {
-        const char *old = std::getenv("CALYX_CPPSIM_CACHE");
-        hadOld = old != nullptr;
-        if (hadOld)
-            oldVal = old;
-        dir = (fs::temp_directory_path() /
-               ("calyx-cppsim-test-" + std::to_string(::getpid())))
-                  .string();
-        fs::remove_all(dir);
-        ::setenv("CALYX_CPPSIM_CACHE", dir.c_str(), 1);
-    }
-
-    ~ScopedCacheDir()
-    {
-        if (hadOld)
-            ::setenv("CALYX_CPPSIM_CACHE", oldVal.c_str(), 1);
-        else
-            ::unsetenv("CALYX_CPPSIM_CACHE");
-        std::error_code ec;
-        fs::remove_all(dir, ec);
-    }
-
-    const std::string &path() const { return dir; }
-
-    size_t
-    entryCount() const
-    {
-        size_t n = 0;
-        std::error_code ec;
-        for (auto it = fs::directory_iterator(dir, ec);
-             !ec && it != fs::directory_iterator(); ++it)
-            ++n;
-        return n;
-    }
-
-  private:
-    std::string dir, oldVal;
-    bool hadOld = false;
-};
+using testing::ScopedCacheDir;
 
 TEST(CompiledEngine, ParseEngineDidYouMean)
 {
@@ -238,6 +204,242 @@ TEST(CompiledEngine, RejectsForceOnComputedPort)
         std::string msg = e.what();
         EXPECT_NE(msg.find("w.in"), std::string::npos) << msg;
     }
+}
+
+/** One compiler invocation seen by a logging fake $CXX. */
+struct Invocation
+{
+    long long start = 0, stop = 0; ///< ns since the epoch.
+};
+
+/** A fake $CXX that logs "start|stop <pid> <ns>" lines to `log` around
+ * a real compile, after sleeping `delay` seconds. */
+std::string
+loggingCompiler(const std::string &dir, const std::string &log,
+                const char *delay)
+{
+    return testing::fakeCompiler(
+        dir, "logging-cxx",
+        "echo \"start $$ $(date +%s%N)\" >> '" + log + "'\n"
+        "sleep " + delay + "\n"
+        "\"$REAL\" \"$@\"; rc=$?\n"
+        "echo \"stop $$ $(date +%s%N)\" >> '" + log + "'\n"
+        "exit $rc");
+}
+
+std::vector<Invocation>
+readInvocations(const std::string &log)
+{
+    std::map<long long, Invocation> byPid;
+    std::ifstream in(log);
+    std::string what;
+    long long pid, ns;
+    while (in >> what >> pid >> ns)
+        (what == "start" ? byPid[pid].start : byPid[pid].stop) = ns;
+    std::vector<Invocation> out;
+    for (const auto &[pid, inv] : byPid)
+        out.push_back(inv);
+    return out;
+}
+
+/** Cycles and final `x` of one run of `ctx` on `engine`. */
+std::pair<uint64_t, uint64_t>
+runCounter(const Context &ctx, sim::Engine engine)
+{
+    sim::SimProgram sp(ctx, "main");
+    sim::CycleSim cs(sp, engine);
+    uint64_t cycles = cs.run();
+    return {cycles, *sp.findModel("x")->registerValue()};
+}
+
+TEST(CompiledEngine, LoadsOfDifferentModulesOverlap)
+{
+    SKIP_WITHOUT_TOOLCHAIN();
+    ScopedCacheDir cache;
+    testing::ScopedTempDir tools("calyx-fake-cxx");
+    std::string log = tools.path() + "/log";
+    testing::ScopedEnv cxx("CXX", loggingCompiler(tools.path(), log, "0.5"));
+
+    Context a = testing::counterProgram(4, 2);
+    Context b = testing::counterProgram(6, 5);
+    passes::runPipeline(a, "all");
+    passes::runPipeline(b, "all");
+    sim::SimProgram spa(a, "main"), spb(b, "main");
+    std::string errors[2];
+    auto loadOn = [&](sim::SimProgram &sp, std::string &err) {
+        try {
+            sim::CompiledModule::load(sp);
+        } catch (const Error &e) {
+            err = e.what();
+        }
+    };
+    std::thread ta(loadOn, std::ref(spa), std::ref(errors[0]));
+    std::thread tb(loadOn, std::ref(spb), std::ref(errors[1]));
+    ta.join();
+    tb.join();
+    EXPECT_EQ(errors[0], "");
+    EXPECT_EQ(errors[1], "");
+
+    std::vector<Invocation> inv = readInvocations(log);
+    ASSERT_EQ(inv.size(), 2u) << "expected one host compile per module";
+    EXPECT_LT(std::max(inv[0].start, inv[1].start),
+              std::min(inv[0].stop, inv[1].stop))
+        << "the two builds ran one after the other";
+}
+
+TEST(CompiledEngine, LoadsOfOneModuleShareOneBuild)
+{
+    SKIP_WITHOUT_TOOLCHAIN();
+    ScopedCacheDir cache;
+    testing::ScopedTempDir tools("calyx-fake-cxx");
+    std::string log = tools.path() + "/log";
+    testing::ScopedEnv cxx("CXX", loggingCompiler(tools.path(), log, "0.3"));
+
+    Context ctx = testing::counterProgram(4, 2);
+    passes::runPipeline(ctx, "all");
+    sim::SimProgram spa(ctx, "main"), spb(ctx, "main");
+    std::shared_ptr<sim::CompiledModule> ma, mb;
+    std::thread ta([&] { ma = sim::CompiledModule::load(spa); });
+    std::thread tb([&] { mb = sim::CompiledModule::load(spb); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(readInvocations(log).size(), 1u);
+    EXPECT_EQ(ma, mb) << "one digest, two modules";
+}
+
+TEST(CompiledEngine, TwoProcessesRacingOnOneDigestBothSucceed)
+{
+    SKIP_WITHOUT_TOOLCHAIN();
+    ScopedCacheDir cache;
+    testing::ScopedTempDir tools("calyx-fake-cxx");
+    std::string log = tools.path() + "/log";
+    testing::ScopedEnv cxx("CXX", loggingCompiler(tools.path(), log, "0.5"));
+
+    Context ctx = testing::counterProgram(7, 3);
+    passes::runPipeline(ctx, "all");
+    auto want = runCounter(ctx, sim::Engine::Levelized);
+
+    pid_t kids[2];
+    for (pid_t &kid : kids) {
+        kid = fork();
+        ASSERT_GE(kid, 0);
+        if (kid == 0) {
+            int code = 3;
+            try {
+                code = runCounter(ctx, sim::Engine::Compiled) == want ? 0 : 2;
+            } catch (...) {
+            }
+            _exit(code);
+        }
+    }
+    for (pid_t kid : kids) {
+        int status = 0;
+        ASSERT_EQ(waitpid(kid, &status, 0), kid);
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 0)
+            << "2: wrong cycles or state, 3: the load failed";
+    }
+    // Both built (the race happened), and neither left a temporary:
+    // the cache holds exactly <digest>.cc and <digest>.so.
+    EXPECT_EQ(readInvocations(log).size(), 2u);
+    EXPECT_EQ(cache.entryCount(), 2u);
+}
+
+/** Replace `path` with `bytes` through a new file (a new inode, so no
+ * dlopen() handle still open on the old file can answer for it). */
+void
+replaceFile(const std::string &path, const std::string &bytes)
+{
+    {
+        std::ofstream out(path + ".new", std::ios::binary);
+        out << bytes;
+    }
+    fs::rename(path + ".new", path);
+}
+
+/** A shared object exporting only cppsim_abi, with a wrong version. */
+std::string
+foreignObject(const std::string &dir)
+{
+    std::string src = dir + "/foreign.cc", so = dir + "/foreign.so";
+    {
+        std::ofstream out(src);
+        out << "extern \"C\" unsigned cppsim_abi() { return 0; }\n";
+    }
+    ProcessResult res = runProcess(
+        {testing::hostCompilerPath(), "-shared", "-fPIC", "-o", so, src});
+    EXPECT_TRUE(res.ok()) << res.output;
+    std::ifstream in(so, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/** Load `ctx` into the empty cache, replace the cached object with
+ * `bad`, and expect the next load to rebuild it and run like
+ * levelized. */
+void
+expectBadCachedObjectRebuilt(const ScopedCacheDir &cache,
+                             const std::string &bad)
+{
+    Context ctx = testing::counterProgram(5, 4);
+    passes::runPipeline(ctx, "all");
+    std::string so;
+    {
+        sim::SimProgram sp(ctx, "main");
+        so = sp.compiledModule()->objectPath();
+    } // Released: the next load goes to disk.
+    replaceFile(so, bad);
+
+    sim::SimProgram sp(ctx, "main");
+    auto mod = sp.compiledModule();
+    EXPECT_FALSE(mod->fromCache()) << "the bad object was trusted";
+    EXPECT_EQ(runCounter(ctx, sim::Engine::Compiled),
+              runCounter(ctx, sim::Engine::Levelized));
+    EXPECT_EQ(cache.entryCount(), 2u);
+}
+
+TEST(CompiledEngine, TruncatedCachedObjectIsRebuilt)
+{
+    SKIP_WITHOUT_TOOLCHAIN();
+    ScopedCacheDir cache;
+    expectBadCachedObjectRebuilt(cache, std::string("\x7f" "ELF", 4));
+}
+
+TEST(CompiledEngine, ForeignCachedObjectIsRebuilt)
+{
+    SKIP_WITHOUT_TOOLCHAIN();
+    ScopedCacheDir cache;
+    testing::ScopedTempDir tools("calyx-foreign");
+    expectBadCachedObjectRebuilt(cache, foreignObject(tools.path()));
+}
+
+TEST(CompiledEngine, BadFreshObjectIsAnError)
+{
+    SKIP_WITHOUT_TOOLCHAIN();
+    ScopedCacheDir cache;
+    testing::ScopedTempDir tools("calyx-foreign");
+    foreignObject(tools.path());
+    // A "compiler" that builds the foreign object whatever it is asked.
+    testing::ScopedEnv cxx(
+        "CXX", testing::fakeCompiler(
+                   tools.path(), "foreign-cxx",
+                   "out=; prev=\n"
+                   "for a in \"$@\"; do [ \"$prev\" = -o ] && out=$a; "
+                   "prev=$a; done\n"
+                   "exec \"$REAL\" -shared -fPIC -o \"$out\" '" +
+                       tools.path() + "/foreign.cc'"));
+
+    Context ctx = testing::counterProgram(3, 3);
+    passes::runPipeline(ctx, "all");
+    sim::SimProgram sp(ctx, "main");
+    try {
+        sp.compiledModule();
+        FAIL() << "a freshly built foreign object was accepted";
+    } catch (const Error &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("ABI version 0"), std::string::npos) << msg;
+    }
+    // It never entered the cache: only the kept source is there.
+    EXPECT_EQ(cache.entryCount(), 1u);
 }
 
 } // namespace

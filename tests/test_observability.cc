@@ -47,36 +47,7 @@ namespace fs = std::filesystem;
             GTEST_SKIP() << reason;                                       \
     } while (0)
 
-/** Point $CALYX_CPPSIM_CACHE at a fresh directory for one test. */
-class ScopedCacheDir
-{
-  public:
-    ScopedCacheDir()
-    {
-        const char *old = std::getenv("CALYX_CPPSIM_CACHE");
-        hadOld = old != nullptr;
-        if (hadOld)
-            oldVal = old;
-        dir = (fs::temp_directory_path() /
-               ("calyx-obs-test-" + std::to_string(::getpid())))
-                  .string();
-        fs::remove_all(dir);
-        ::setenv("CALYX_CPPSIM_CACHE", dir.c_str(), 1);
-    }
-
-    ~ScopedCacheDir()
-    {
-        if (hadOld)
-            ::setenv("CALYX_CPPSIM_CACHE", oldVal.c_str(), 1);
-        else
-            ::unsetenv("CALYX_CPPSIM_CACHE");
-        fs::remove_all(dir);
-    }
-
-  private:
-    std::string dir, oldVal;
-    bool hadOld = false;
-};
+using testing::ScopedCacheDir;
 
 std::string
 readExample(const std::string &name)

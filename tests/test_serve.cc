@@ -4,17 +4,22 @@
  * run round-trips with per-lane results, malformed-request rejection
  * that leaves the session serving, stats as the report envelope — and
  * the acceptance gate: a session sustaining 100+ stimulus-batch
- * requests against one resident compiled module without recompiling
- * (module_loads stays 1, modules_from_cache asserted on a warm
- * cache). Also the --trace/--serve flag-conflict rejection.
+ * requests against its resident compiled modules without recompiling
+ * (module_loads stays 2, scalar and lane, modules_from_cache asserted
+ * on a warm cache), and a session whose lane module fails to build
+ * (the request gets an error, the session keeps serving). Also the
+ * --trace/--serve flag-conflict rejection.
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "emit/backend.h"
+#include "helpers.h"
 #include "ir/parser.h"
 #include "passes/pipeline_spec.h"
 #include "serve/protocol.h"
@@ -100,6 +105,40 @@ runRequest(const std::vector<uint64_t> &bounds)
     }
     return "{\"type\": \"run\", \"batch\": [" + batch + "]}";
 }
+
+/**
+ * Session input that arrives in chunks, the way a client paces its
+ * requests: chunk k becomes readable `pauseMs[k]` milliseconds after
+ * the server asks for it, so work a request started in the background
+ * can land before the next one is read.
+ */
+class PacedInput : public std::streambuf
+{
+  public:
+    void
+    add(const std::string &text, int pause_ms = 0)
+    {
+        chunks.push_back(text);
+        pauses.push_back(pause_ms);
+    }
+
+  protected:
+    int_type
+    underflow() override
+    {
+        if (next == chunks.size())
+            return traits_type::eof();
+        std::this_thread::sleep_for(std::chrono::milliseconds(pauses[next]));
+        std::string &c = chunks[next++];
+        setg(c.data(), c.data(), c.data() + c.size());
+        return traits_type::to_int_type(c[0]);
+    }
+
+  private:
+    std::vector<std::string> chunks;
+    std::vector<int> pauses;
+    size_t next = 0;
+};
 
 /** Every response frame in `out`, parsed. */
 std::vector<json::Value>
@@ -263,57 +302,135 @@ TEST(Serve, BrokenFramingEndsSessionWithError)
               std::string::npos);
 }
 
-/** The acceptance gate: 100+ stimulus-batch requests against one
- * resident compiled module, no recompilation, cache hit asserted. */
+/** The acceptance gate: 100+ stimulus-batch requests against the
+ * resident modules, no recompilation, cache hits asserted. */
 TEST(Serve, SustainsHundredRequestsOnResidentCompiledModule)
 {
     if (!sim::compiledEngineUnavailableReason().empty())
         GTEST_SKIP() << sim::compiledEngineUnavailableReason();
     Context ctx = loweredLoop();
-    sim::SimProgram sp(ctx, ctx.entrypoint());
 
     serve::ServeOptions opts;
     opts.engine = sim::Engine::Compiled;
     opts.laneTile = 4;
 
-    // First session warms the on-disk object cache so the second can
-    // assert a pure cache hit (no host-compiler invocation at all).
+    // Every request is one full tile plus one stimulus: both the lane
+    // module and the scalar module run.
+    auto request = [](uint64_t i) {
+        std::vector<uint64_t> bounds;
+        for (uint64_t k = 0; k < 5; ++k)
+            bounds.push_back((i + 7 * k) % 17);
+        return runRequest(bounds);
+    };
+
+    // The first session warms the on-disk object cache for both
+    // modules (its end joins the lane build), so the second can assert
+    // pure cache hits (no host-compiler invocation at all).
     {
-        std::istringstream in(frame(runRequest({1})) +
+        sim::SimProgram sp(ctx, ctx.entrypoint());
+        std::istringstream in(frame(request(0)) +
                               frame("{\"type\": \"shutdown\"}"));
         std::ostringstream out;
         serve::serve(sp, in, out, opts);
     }
 
-    std::string input;
-    for (uint64_t i = 0; i < 100; ++i)
-        input += frame(runRequest({i % 17, (i * 7) % 17}));
-    input += frame("{\"type\": \"stats\"}");
-    input += frame("{\"type\": \"shutdown\"}");
-    std::istringstream in(input);
+    // Stats after the first run (once the lane module had a second to
+    // land) and after the hundredth.
+    PacedInput paced;
+    paced.add(frame(request(0)));
+    paced.add(frame("{\"type\": \"stats\"}"), 1000);
+    std::string rest;
+    for (uint64_t i = 1; i < 100; ++i)
+        rest += frame(request(i));
+    rest += frame("{\"type\": \"stats\"}");
+    rest += frame("{\"type\": \"shutdown\"}");
+    paced.add(rest);
+    std::istream in(&paced);
     std::ostringstream out;
+    sim::SimProgram sp(ctx, ctx.entrypoint());
     serve::ServeStats st = serve::serve(sp, in, out, opts);
 
-    EXPECT_EQ(st.requests, 102u);
+    EXPECT_EQ(st.requests, 103u);
     EXPECT_EQ(st.runs, 100u);
-    EXPECT_EQ(st.stimuli, 200u);
+    EXPECT_EQ(st.stimuli, 500u);
     EXPECT_EQ(st.errors, 0u);
 
     auto docs = responses(out.str());
-    ASSERT_EQ(docs.size(), 102u);
-    for (uint64_t i = 0; i < 100; ++i) {
-        ASSERT_TRUE(docs[i].at("ok").asBool()) << "request " << i;
-        const auto &lanes = docs[i].at("result").at("lanes").items();
-        ASSERT_EQ(lanes.size(), 2u);
-        EXPECT_EQ(lanes[0].at("regs").at("x").asNum(), 3 * (i % 17));
-        EXPECT_EQ(lanes[1].at("regs").at("x").asNum(),
-                  3 * ((i * 7) % 17));
+    ASSERT_EQ(docs.size(), 103u);
+    for (size_t d = 0; d < docs.size() - 1; ++d) {
+        if (d == 1 || d == 101)
+            continue; // Stats.
+        uint64_t i = d == 0 ? 0 : d - 1;
+        ASSERT_TRUE(docs[d].at("ok").asBool()) << "request " << i;
+        const auto &lanes = docs[d].at("result").at("lanes").items();
+        ASSERT_EQ(lanes.size(), 5u);
+        for (uint64_t k = 0; k < 5; ++k)
+            EXPECT_EQ(lanes[k].at("regs").at("x").asNum(),
+                      3 * ((i + 7 * k) % 17))
+                << "request " << i << " lane " << k;
     }
-    const json::Value &serve_stats = docs[100].at("result").at("serve");
-    // Resident module: 100 runs, exactly one JIT load, served from
-    // the object cache without recompiling.
-    EXPECT_EQ(serve_stats.at("module_loads").asNum(), 1u);
-    EXPECT_TRUE(serve_stats.at("modules_from_cache").asBool());
+    // Resident modules: a session that ran both kinds loads exactly
+    // two (scalar and lane), from the object cache, and the count does
+    // not grow from request 1 to request 100.
+    for (size_t d : {1, 101}) {
+        const json::Value &serve_stats = docs[d].at("result").at("serve");
+        EXPECT_EQ(serve_stats.at("module_loads").asNum(), 2u)
+            << "stats response " << d;
+        EXPECT_TRUE(serve_stats.at("modules_from_cache").asBool())
+            << "stats response " << d;
+    }
+}
+
+TEST(Serve, FailedLaneBuildErrorsRequestAndKeepsServing)
+{
+    if (!sim::compiledEngineUnavailableReason().empty())
+        GTEST_SKIP() << sim::compiledEngineUnavailableReason();
+    testing::ScopedCacheDir cache;
+    testing::ScopedTempDir tools("calyx-fake-cxx");
+    testing::ScopedEnv cxx(
+        "CXX", testing::fakeCompiler(tools.path(), "no-lane-cxx",
+                                     "case \"$*\" in *-march=native*) "
+                                     "echo no lanes here >&2; exit 1;; "
+                                     "esac\n"
+                                     "exec \"$REAL\" \"$@\""));
+    Context ctx = loweredLoop();
+    sim::SimProgram sp(ctx, ctx.entrypoint());
+    serve::ServeOptions opts;
+    opts.engine = sim::Engine::Compiled;
+    opts.laneTile = 4;
+
+    // A full tile starts the lane build and runs on the scalar module;
+    // once the build has failed, the next full tile is an error, and
+    // the session goes on serving what the scalar module can run.
+    PacedInput paced;
+    paced.add(frame(runRequest({1, 2, 3, 4})));
+    paced.add(frame(runRequest({1, 2, 3, 4})), 1000);
+    paced.add(frame(runRequest({6})) + frame("{\"type\": \"ping\"}") +
+              frame("{\"type\": \"shutdown\"}"));
+    std::istream in(&paced);
+    std::ostringstream out;
+    serve::ServeStats st = serve::serve(sp, in, out, opts);
+
+    EXPECT_EQ(st.requests, 5u);
+    EXPECT_EQ(st.errors, 1u);
+    auto docs = responses(out.str());
+    ASSERT_EQ(docs.size(), 5u);
+    EXPECT_TRUE(docs[0].at("ok").asBool());
+    ASSERT_FALSE(docs[1].at("ok").asBool());
+    EXPECT_NE(docs[1].at("error").asStr().find("no lanes here"),
+              std::string::npos)
+        << docs[1].at("error").asStr();
+    ASSERT_TRUE(docs[2].at("ok").asBool());
+    EXPECT_EQ(docs[2]
+                  .at("result")
+                  .at("lanes")
+                  .items()[0]
+                  .at("regs")
+                  .at("x")
+                  .asNum(),
+              18u);
+    EXPECT_TRUE(docs[3].at("ok").asBool());
+    EXPECT_TRUE(docs[4].at("ok").asBool());
 }
 
 TEST(Serve, CompileRequestRoundTrip)
