@@ -553,11 +553,11 @@ portExpr(const Codegen &cg, uint32_t port)
     const auto &ds = cg.drivers[port];
     for (auto it = ds.begin(); it != ds.end(); ++it) {
         const SAssign *a = *it;
-        if (a->guard.nodes.empty()) {
+        if (a->guard->nodes.empty()) {
             // Unconditional driver: earlier drivers can never win.
             expr = srcExpr(cg, *a);
         } else {
-            expr = "(" + guardExpr(cg, a->guard) + " ? " + srcExpr(cg, *a) +
+            expr = "(" + guardExpr(cg, *a->guard) + " ? " + srcExpr(cg, *a) +
                    " : " + expr + ")";
         }
     }
@@ -577,7 +577,7 @@ needsBlock(const Codegen &cg, uint32_t port)
     if (ds.size() > selectChainMax)
         return true;
     for (const SAssign *a : ds) {
-        if (a->guard.nodes.size() > guardInlineNodes)
+        if (a->guard->nodes.size() > guardInlineNodes)
             return true;
     }
     return false;
@@ -606,7 +606,7 @@ portValueStmts(const Codegen &cg, uint32_t port, const std::string &var,
     std::vector<uint32_t> homed;
     std::vector<std::string> guards(ds.size());
     for (size_t i = 0; i < ds.size(); ++i) {
-        const SExpr &g = ds[i]->guard;
+        const SExpr &g = *ds[i]->guard;
         if (g.nodes.empty())
             continue; // Unconditional; no guard text needed.
         uint32_t gid = UINT32_MAX;
@@ -688,7 +688,7 @@ foldConstants(Codegen &cg)
             continue;
         uint32_t p = cg.sched.memberPorts()[node.first];
         const auto &ds = cg.drivers[p];
-        if (ds.size() == 1 && ds[0]->guard.nodes.empty()) {
+        if (ds.size() == 1 && ds[0]->guard->nodes.empty()) {
             const SAssign *a = ds[0];
             if (a->srcConst) {
                 cg.folded[p] = 1;
@@ -740,9 +740,9 @@ buildGuardPool(Codegen &cg)
         if (cg.folded[p] || !cg.computed[p])
             continue;
         for (const SAssign *a : cg.drivers[p]) {
-            if (a->guard.nodes.size() <= guardInlineNodes)
+            if (a->guard->nodes.size() <= guardInlineNodes)
                 continue;
-            std::string key = guardExpr(cg, a->guard);
+            std::string key = guardExpr(cg, *a->guard);
             // Partitioned modules scope pool entries to one partition:
             // readers in different partitions run concurrently, so a
             // shared slot's home-write would race. Within a partition
@@ -753,7 +753,7 @@ buildGuardPool(Codegen &cg)
             auto [it, fresh] = by_text.emplace(
                 key, static_cast<uint32_t>(cg.guardPool.size()));
             if (fresh) {
-                cg.guardPool.push_back(&a->guard);
+                cg.guardPool.push_back(a->guard);
                 cg.guardHome.push_back(p);
             }
             cg.guardIdOf.emplace(a, it->second);

@@ -111,7 +111,7 @@ Profiler::Profiler(const SimProgram &prog) : prog(&prog)
                 continue;
             mems[it->second].readAssigns.push_back(
                 static_cast<uint32_t>(reads.size()));
-            reads.push_back({&a.guard, gate});
+            reads.push_back({a.guard, gate});
         }
     };
     std::function<void(const SimProgram::Instance &)> scanInst =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <queue>
 #include <unordered_map>
 
 #include "sim/compiled.h"
@@ -19,7 +18,7 @@ namespace calyx::sim {
  * static driver lists (batched programs are fully lowered, so the
  * activation set is always the full continuous set — exactly what
  * CycleSim activates), the model index behind each port, and the
- * stateful models that seed the next cycle's event queue.
+ * stateful models that seed the next cycle's dirty set.
  */
 struct BatchRunner::LevelizedPlan
 {
@@ -298,33 +297,16 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
     std::vector<char> alive(K, 1), goVal(K, 1);
     size_t liveCount = K;
 
-    // One dirty-node queue shared by every lane (the union of the
+    // One dirty-node set shared by every lane (the union of the
     // lanes' dirty cones). Re-evaluating a node whose inputs did not
     // change in some lane is idempotent there, so each lane still
     // follows its exact scalar trajectory.
-    const size_t numNodes = sched.nodes().size();
-    std::vector<char> inQueue(numNodes, 0);
-    std::priority_queue<uint32_t, std::vector<uint32_t>,
-                        std::greater<uint32_t>>
-        queue;
-    auto markDirty = [&](uint32_t port) {
-        uint32_t n = sched.nodeOf(port);
-        if (!inQueue[n]) {
-            inQueue[n] = 1;
-            queue.push(n);
-        }
-    };
+    DirtyNodes dirty;
+    dirty.resize(static_cast<uint32_t>(sched.nodes().size()));
+    auto markDirty = [&](uint32_t port) { dirty.mark(sched.nodeOf(port)); };
     // Every node is dirty in the first cycle, and again in the first
     // serial cycle after a partitioned one (whose edge seeds nothing).
-    auto seedAll = [&] {
-        for (uint32_t n = 0; n < numNodes; ++n) {
-            if (!inQueue[n]) {
-                inQueue[n] = 1;
-                queue.push(n);
-            }
-        }
-    };
-    seedAll();
+    dirty.markAll();
 
     // Driver priority mirrors SimState::evalPort: active assignment
     // beats the go force beats model output beats zero. `tmpBlock` is
@@ -338,7 +320,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
         uint64_t *base = vals.data() + l * np;
         const SAssign *winner = nullptr;
         for (const SAssign *a : P.activeByPort[p]) {
-            if (!a->guard.eval(base))
+            if (!a->guard->eval(base))
                 continue;
             if (winner && check) {
                 fatal("multiple active drivers for port ",
@@ -439,7 +421,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
     };
 
     // Partitioned variant of evalNode for the macro-task walk: the full
-    // schedule re-evaluates every cycle, so the dirty-queue bookkeeping
+    // schedule re-evaluates every cycle, so the dirty-set bookkeeping
     // (markDirty fanout marking, the shared memChanged vector) drops
     // out entirely and evalComb scratch comes from the worker's block.
     auto evalNodeFull = [&](uint32_t ni, uint64_t *tmpBlock) {
@@ -507,7 +489,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                   " lanes unfinished");
         }
         // The runner picks each cycle's walk: the partition on the
-        // tile's crew, or (serial) the dirty-cone queue below.
+        // tile's crew, or (serial) the dirty-cone walk below.
         const bool wasParallel = parallelCycle;
         parallelCycle = runner && runner->beginCycle(&crew);
         if (parallelCycle) {
@@ -524,13 +506,8 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                 &crew);
         } else {
             if (wasParallel)
-                seedAll();
-            while (!queue.empty()) {
-                uint32_t n = queue.top();
-                queue.pop();
-                inQueue[n] = 0;
-                evalNode(n);
-            }
+                dirty.markAll();
+            dirty.drain(evalNode);
         }
         for (size_t l = 0; l < K; ++l) {
             if (!alive[l])
@@ -539,7 +516,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             bool done = base[P.donePort] & 1;
             for (auto &m : models[l])
                 m->clock(base);
-            // Seed the next cycle's queue from stateful outputs that
+            // Seed the next cycle's dirty set from stateful outputs that
             // moved at the edge (union over lanes). The partitioned
             // walk re-evaluates the full schedule, so it needs no seed.
             if (!parallelCycle) {

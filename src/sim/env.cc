@@ -81,100 +81,436 @@ parseEngine(const std::string &name)
           "'? options: ", options, ")");
 }
 
-bool
-SExpr::eval(const uint64_t *vals) const
+namespace {
+
+using Test = SExpr::Test;
+
+/** Comparison `op` with its operands swapped: k < p is p > k. */
+SExpr::Op
+mirrored(SExpr::Op op)
 {
-    if (nodes.empty())
-        return true;
-    if (depth <= sexprInlineDepth) {
-        uint64_t stack[sexprInlineDepth];
-        return evalWith(vals, stack);
-    }
-    // Pathological guard: size heap scratch to the exact depth computed
-    // at compile time instead of overflowing the inline buffer.
-    std::vector<uint64_t> stack(depth);
-    return evalWith(vals, stack.data());
+    using Op = SExpr::Op;
+    static const Op table[] = {Op::Eq, Op::Neq, Op::Gt, Op::Lt, Op::Geq,
+                               Op::Leq};
+    return table[static_cast<int>(op) - static_cast<int>(Op::Eq)];
+}
+
+/** The comparison that holds exactly when `op` does not. */
+SExpr::Op
+inverted(SExpr::Op op)
+{
+    using Op = SExpr::Op;
+    static const Op table[] = {Op::Neq, Op::Eq, Op::Geq, Op::Leq, Op::Gt,
+                               Op::Lt};
+    return table[static_cast<int>(op) - static_cast<int>(Op::Eq)];
 }
 
 bool
-SExpr::evalWith(const uint64_t *vals, uint64_t *stack) const
+compare(SExpr::Op op, uint64_t a, uint64_t b)
 {
-    // Stack machine over the postorder array. Depth was bounded when the
-    // guard was compiled, so no per-node overflow check is needed here.
-    size_t sp = 0;
-    for (const Node &n : nodes) {
-        switch (n.op) {
-          case Op::True:
-            stack[sp++] = 1;
-            break;
-          case Op::Port:
-            stack[sp++] = vals[n.a] & 1;
-            break;
-          case Op::Not:
-            stack[sp - 1] = !stack[sp - 1];
-            break;
-          case Op::And:
-            --sp;
-            stack[sp - 1] = stack[sp - 1] && stack[sp];
-            break;
-          case Op::Or:
-            --sp;
-            stack[sp - 1] = stack[sp - 1] || stack[sp];
-            break;
-          default: {
-            uint64_t a = n.aImm ? n.immA : vals[n.a];
-            uint64_t b = n.bImm ? n.immB : vals[n.b];
-            bool v = false;
-            switch (n.op) {
-              case Op::Eq:
-                v = a == b;
+    switch (op) {
+      case SExpr::Op::Eq:
+        return a == b;
+      case SExpr::Op::Neq:
+        return a != b;
+      case SExpr::Op::Lt:
+        return a < b;
+      case SExpr::Op::Gt:
+        return a > b;
+      case SExpr::Op::Leq:
+        return a <= b;
+      case SExpr::Op::Geq:
+        return a >= b;
+      default:
+        panic("guard: not a comparison");
+    }
+}
+
+/**
+ * A node of the normalized guard tree, stored in prefix order: n-ary
+ * And/Or nodes (no child has its parent's kind) over constants and
+ * leaf tests, with every negation absorbed into a leaf.
+ */
+struct NormNode
+{
+    enum class Kind : uint8_t { False, True, Leaf, And, Or };
+    Kind kind = Kind::Leaf;
+    bool neg = false; ///< Leaf: the guard needs the test to fail.
+    Test test;        ///< Leaf; an In test keeps [lo, hi] until the end.
+    uint64_t hi = 0;  ///< In: inclusive upper bound.
+    uint32_t end = 0; ///< One past the last node of this subtree.
+    uint32_t first = 0; ///< The first leaf of this subtree.
+    uint32_t next[2] = {0, 0}; ///< Leaf: successors, as in Test.
+    uint32_t index = 0; ///< Leaf: position in `code`, once reachable.
+
+    bool isConst() const { return kind <= Kind::True; }
+    bool isLeaf() const { return kind <= Kind::Leaf; }
+};
+
+NormNode
+constantNode(bool value)
+{
+    NormNode n;
+    n.kind = value ? NormNode::Kind::True : NormNode::Kind::False;
+    return n;
+}
+
+/** Leaf `x` of a postorder guard under an odd (`neg`) or even number
+ * of negations, as a constant or a positive-or-negated test. */
+NormNode
+normalizeLeaf(const SExpr::Node &x, bool neg)
+{
+    using Op = SExpr::Op;
+    if (x.op == Op::True)
+        return constantNode(!neg);
+    NormNode n;
+    n.neg = neg;
+    if (x.op == Op::Port) {
+        n.test.op = Test::Op::Bit;
+        n.test.a = x.a;
+        return n;
+    }
+    if (x.aImm && x.bImm)
+        return constantNode(compare(x.op, x.immA, x.immB) != neg);
+
+    // Port on the left, negation folded into the operator.
+    Op op = x.aImm ? mirrored(x.op) : x.op;
+    uint32_t p = x.aImm ? x.b : x.a;
+    if (neg)
+        op = inverted(op);
+    n.neg = false;
+
+    if (!x.aImm && !x.bImm) {
+        // Two ports: Eq and Lt, with Gt/Leq/Geq as swapped or negated
+        // forms of Lt.
+        n.test.a = x.a;
+        n.test.b = x.b;
+        n.test.op = op == Op::Eq || op == Op::Neq ? Test::Op::Eq
+                                                  : Test::Op::Lt;
+        n.neg = op == Op::Neq || op == Op::Geq || op == Op::Leq;
+        if (op == Op::Gt || op == Op::Leq)
+            std::swap(n.test.a, n.test.b);
+        return n;
+    }
+
+    // Port against constant k: an inclusive range, or (Neq) the
+    // complement of [k, k].
+    const uint64_t k = x.aImm ? x.immA : x.immB;
+    uint64_t lo = 0, hi = UINT64_MAX;
+    switch (op) {
+      case Op::Eq:
+        lo = hi = k;
+        break;
+      case Op::Neq:
+        lo = hi = k;
+        n.neg = true;
+        break;
+      case Op::Lt:
+        if (k == 0)
+            return constantNode(false);
+        hi = k - 1;
+        break;
+      case Op::Leq:
+        hi = k;
+        break;
+      case Op::Gt:
+        if (k == UINT64_MAX)
+            return constantNode(false);
+        lo = k + 1;
+        break;
+      case Op::Geq:
+        lo = k;
+        break;
+      default:
+        panic("guard: not a comparison");
+    }
+    if (lo == 0 && hi == UINT64_MAX)
+        return constantNode(true);
+    n.test.op = Test::Op::In;
+    n.test.a = p;
+    n.test.lo = lo;
+    n.hi = hi;
+    return n;
+}
+
+/**
+ * Builds SExpr::code from SExpr::nodes. Its work lists persist between
+ * builds (one builder per thread), so a pool of small guards allocates
+ * little beyond the code itself. Nothing here recurses.
+ */
+class CodeBuilder
+{
+  public:
+    /**
+     * Normalize, then give every leaf its two successors: within an
+     * And, a true child continues at the next sibling's first leaf and
+     * a false one leaves with the And's false successor; the last child
+     * inherits both of the And's (dually for Or). Constant leaves then
+     * dissolve into the successors pointing at them, and only tests
+     * reachable from the first one are kept.
+     */
+    void
+    build(SExpr &e)
+    {
+        normalize(e.nodes);
+        const uint32_t m = static_cast<uint32_t>(norm.size());
+        for (uint32_t i = m; i-- > 0;) {
+            NormNode &x = norm[i];
+            if (x.kind == NormNode::Kind::Leaf &&
+                x.test.op == Test::Op::In && x.test.lo > x.hi)
+                x.kind = NormNode::Kind::False; // a fused range emptied
+            x.first = x.isLeaf() ? i : norm[i + 1].first;
+        }
+
+        frames.clear();
+        for (uint32_t i = 0; i < m; ++i) {
+            NormNode &x = norm[i];
+            while (!frames.empty() && frames.back().end <= i)
+                frames.pop_back();
+            uint32_t onTrue = SExpr::resultTrue;
+            uint32_t onFalse = SExpr::resultFalse;
+            if (!frames.empty()) {
+                const Frame &p = frames.back();
+                onTrue = p.onTrue;
+                onFalse = p.onFalse;
+                if (x.end < p.end) {
+                    uint32_t sibling = norm[x.end].first;
+                    (p.kind == NormNode::Kind::And ? onTrue : onFalse) =
+                        sibling;
+                }
+            }
+            if (!x.isLeaf()) {
+                frames.push_back({x.end, x.kind, onTrue, onFalse});
+            } else {
+                x.next[0] = x.neg ? onTrue : onFalse;
+                x.next[1] = x.neg ? onFalse : onTrue;
+            }
+        }
+
+        // Successors only point forward, so resolving back to front
+        // sees every constant's own successors already resolved.
+        auto resolve = [&](uint32_t t) {
+            if (t < m && norm[t].isConst())
+                return norm[t].next[norm[t].kind == NormNode::Kind::True];
+            return t;
+        };
+        for (uint32_t i = m; i-- > 0;) {
+            NormNode &x = norm[i];
+            x.index = UINT32_MAX;
+            if (x.isLeaf()) {
+                x.next[0] = resolve(x.next[0]);
+                x.next[1] = resolve(x.next[1]);
+            }
+        }
+        const uint32_t entry = resolve(norm[0].first);
+
+        e.code.clear();
+        if (entry < m)
+            norm[entry].index = 0;
+        for (uint32_t i = entry; i < m; ++i) {
+            NormNode &x = norm[i];
+            if (x.index == UINT32_MAX)
+                continue;
+            x.index = static_cast<uint32_t>(e.code.size());
+            Test &t = e.code.emplace_back(x.test);
+            if (t.op == Test::Op::In)
+                t.span = x.hi - t.lo;
+            for (int k = 0; k < 2; ++k) {
+                t.next[k] = x.next[k];
+                if (t.next[k] <= i)
+                    panic("guard: evaluation form steps backwards");
+                if (t.next[k] < m)
+                    norm[t.next[k]].index = 0; // reachable; numbered later
+            }
+        }
+        for (Test &t : e.code) {
+            for (uint32_t &s : t.next) {
+                if (s < m)
+                    s = norm[s].index;
+            }
+        }
+        e.start = entry < m ? 0 : entry;
+    }
+
+  private:
+    /**
+     * Fill `norm` from postorder `nodes`. A depth-first walk with an
+     * explicit stack carries the negation parity down: a Not flips it,
+     * an And under odd parity becomes an Or (and vice versa), and a node
+     * of its nearest emitted ancestor's kind merges into that ancestor.
+     * A positive range test on a port that already has one among the
+     * same And's children narrows that test instead of adding one.
+     */
+    void
+    normalize(const std::vector<SExpr::Node> &nodes)
+    {
+        using Op = SExpr::Op;
+        const uint32_t n = static_cast<uint32_t>(nodes.size());
+        lhs.resize(n);
+        rhs.resize(n);
+        operands.clear();
+        for (uint32_t i = 0; i < n; ++i) {
+            switch (nodes[i].op) {
+              case Op::Not:
+                lhs[i] = operands.back();
+                operands.back() = i;
                 break;
-              case Op::Neq:
-                v = a != b;
-                break;
-              case Op::Lt:
-                v = a < b;
-                break;
-              case Op::Gt:
-                v = a > b;
-                break;
-              case Op::Leq:
-                v = a <= b;
-                break;
-              case Op::Geq:
-                v = a >= b;
+              case Op::And:
+              case Op::Or:
+                rhs[i] = operands.back();
+                operands.pop_back();
+                lhs[i] = operands.back();
+                operands.back() = i;
                 break;
               default:
-                panic("bad SExpr op " +
-                      std::to_string(static_cast<int>(n.op)));
+                operands.push_back(i);
+                break;
             }
-            stack[sp++] = v ? 1 : 0;
-            break;
-          }
+        }
+
+        norm.clear();
+        open.clear();
+        rangeOf.clear();
+        work.assign(1, {operands.back(), false, false});
+        while (!work.empty()) {
+            Work w = work.back();
+            work.pop_back();
+            if (w.close) {
+                norm[open.back()].end = static_cast<uint32_t>(norm.size());
+                open.pop_back();
+                continue;
+            }
+            const SExpr::Node &x = nodes[w.node];
+            if (x.op == Op::Not) {
+                work.push_back({lhs[w.node], !w.neg, false});
+                continue;
+            }
+            if (x.op == Op::And || x.op == Op::Or) {
+                auto kind = (x.op == Op::And) != w.neg
+                                ? NormNode::Kind::And
+                                : NormNode::Kind::Or;
+                if (open.empty() || norm[open.back()].kind != kind) {
+                    open.push_back(static_cast<uint32_t>(norm.size()));
+                    norm.emplace_back().kind = kind;
+                    work.push_back({0, false, true});
+                }
+                work.push_back({rhs[w.node], w.neg, false});
+                work.push_back({lhs[w.node], w.neg, false});
+                continue;
+            }
+            NormNode leaf = normalizeLeaf(x, w.neg);
+            if (leaf.kind == NormNode::Kind::Leaf &&
+                leaf.test.op == Test::Op::In && !leaf.neg &&
+                !open.empty() &&
+                norm[open.back()].kind == NormNode::Kind::And) {
+                uint64_t key = uint64_t(open.back()) << 32 | leaf.test.a;
+                auto [it, fresh] = rangeOf.emplace(
+                    key, static_cast<uint32_t>(norm.size()));
+                if (!fresh) {
+                    NormNode &into = norm[it->second];
+                    into.test.lo = std::max(into.test.lo, leaf.test.lo);
+                    into.hi = std::min(into.hi, leaf.hi);
+                    continue;
+                }
+            }
+            leaf.end = static_cast<uint32_t>(norm.size()) + 1;
+            norm.push_back(leaf);
         }
     }
-    return stack[0] != 0;
+
+    struct Work
+    {
+        uint32_t node;
+        bool neg;
+        bool close; ///< Ends the subtree of the innermost open node.
+    };
+    struct Frame
+    {
+        uint32_t end;
+        NormNode::Kind kind;
+        uint32_t onTrue, onFalse;
+    };
+
+    std::vector<uint32_t> lhs, rhs, operands; ///< Postorder children.
+    std::vector<NormNode> norm;
+    std::vector<Work> work;
+    std::vector<uint32_t> open; ///< Emitted And/Or nodes, innermost last.
+    std::unordered_map<uint64_t, uint32_t> rangeOf; ///< (And, port).
+    std::vector<Frame> frames;
+};
+
+uint64_t
+hashNodes(const std::vector<SExpr::Node> &nodes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&](uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ull;
+        h ^= h >> 29;
+    };
+    for (const SExpr::Node &n : nodes) {
+        mix(static_cast<uint64_t>(n.op) | uint64_t(n.aImm) << 8 |
+            uint64_t(n.bImm) << 9);
+        mix(n.a | uint64_t(n.b) << 32);
+        mix(n.immA);
+        mix(n.immB);
+    }
+    return h;
+}
+
+} // namespace
+
+const SExpr *
+GuardPool::intern(const std::vector<SExpr::Node> &nodes)
+{
+    const uint64_t h = hashNodes(nodes);
+    auto [lo, hi] = index.equal_range(h);
+    for (auto it = lo; it != hi; ++it) {
+        if (it->second->nodes == nodes)
+            return it->second;
+    }
+    SExpr &e = entries.emplace_back();
+    e.nodes = nodes;
+    if (!nodes.empty()) {
+        thread_local CodeBuilder builder;
+        builder.build(e);
+    }
+    index.emplace(h, &e);
+    return &e;
 }
 
 void
-SExpr::computeDepth()
+DirtyNodes::resize(uint32_t n)
 {
-    uint32_t cur = 0;
-    depth = 0;
-    for (const Node &n : nodes) {
-        switch (n.op) {
-          case Op::Not:
-            break; // pops one, pushes one
-          case Op::And:
-          case Op::Or:
-            --cur; // pops two, pushes one
-            break;
-          default:
-            ++cur; // True/Port/Cmp leaves push one
-            break;
-        }
-        depth = std::max(depth, cur);
-    }
+    words.assign((n + 63) / 64, 0);
+    nodes = n;
+    count = 0;
+    low = UINT32_MAX;
+    floor = 0;
+}
+
+void
+DirtyNodes::markAll()
+{
+    std::fill(words.begin(), words.end(), ~uint64_t(0));
+    if (nodes % 64)
+        words.back() = (uint64_t(1) << (nodes % 64)) - 1;
+    count = nodes;
+    low = 0;
+}
+
+void
+DirtyNodes::clear()
+{
+    std::fill(words.begin(), words.end(), 0);
+    count = 0;
+    low = UINT32_MAX;
+}
+
+void
+DirtyNodes::markedBehindCursor(uint32_t node)
+{
+    panic("levelized walk: schedule node " + std::to_string(node) +
+          " was marked dirty at or behind the walk's cursor");
 }
 
 void
@@ -565,16 +901,16 @@ compileGuardInto(const GuardPtr &g,
 
 } // namespace
 
-SExpr
+const SExpr *
 SimProgram::compileGuard(const Instance &inst, const GuardPtr &g)
 {
-    SExpr e;
-    if (g->isTrue())
-        return e;
-    compileGuardInto(
-        g, [&](const PortRef &r) { return resolve(inst, r); }, e.nodes);
-    e.computeDepth();
-    return e;
+    guardScratch.clear();
+    if (!g->isTrue()) {
+        compileGuardInto(
+            g, [&](const PortRef &r) { return resolve(inst, r); },
+            guardScratch);
+    }
+    return guardPool.intern(guardScratch);
 }
 
 SimState::SimState(const SimProgram &prog, Engine engine)
@@ -825,14 +1161,14 @@ SimState::combJacobi()
         for (const auto &[port, value] : forces)
             tmp[port] = value;
         for (const SAssign *a : active) {
-            if (a->guard.eval(vals.data()))
+            if (a->guard->eval(vals.data()))
                 tmp[a->dst] = a->srcConst ? a->srcValue : vals[a->srcPort];
         }
         if (tmp == vals) {
             // Converged: verify the unique-driver requirement (§3.2).
             std::fill(driver.begin(), driver.end(), -1);
             for (const SAssign *a : active) {
-                if (!a->guard.eval(vals.data()))
+                if (!a->guard->eval(vals.data()))
                     continue;
                 if (driver[a->dst] >= 0) {
                     fatal("multiple active drivers for port ",
@@ -853,22 +1189,7 @@ SimState::combJacobi()
 void
 SimState::markDirty(uint32_t port)
 {
-    uint32_t node = sched->nodeOf(port);
-    if (!inQueue[node]) {
-        inQueue[node] = 1;
-        queue.push(node);
-    }
-}
-
-void
-SimState::markAllDirty()
-{
-    for (uint32_t n = 0; n < sched->nodes().size(); ++n) {
-        if (!inQueue[n]) {
-            inQueue[n] = 1;
-            queue.push(n);
-        }
-    }
+    dirty.mark(sched->nodeOf(port));
 }
 
 void
@@ -925,7 +1246,7 @@ SimState::evalPort(uint32_t port, bool check_conflicts,
     // beats force beats model output beats the zero default.
     const SAssign *winner = nullptr;
     for (const SAssign *a : activeByPort[port]) {
-        if (!a->guard.eval(vals.data()))
+        if (!a->guard->eval(vals.data()))
             continue;
         if (winner && check_conflicts) {
             fatal("multiple active drivers for port ",
@@ -1020,7 +1341,7 @@ SimState::bindSchedule()
     // First evaluation: bind (and possibly build) the schedule and
     // size the engine's bookkeeping.
     sched = &prog->schedule();
-    inQueue.assign(sched->nodes().size(), 0);
+    dirty.resize(static_cast<uint32_t>(sched->nodes().size()));
     portChanged.assign(prog->numPorts(), 0);
     forcedVal.assign(prog->numPorts(), 0);
     forcedStamp.assign(prog->numPorts(), 0);
@@ -1043,7 +1364,7 @@ SimState::ensurePartitioned()
 /**
  * evalNode stripped of dirty-cone bookkeeping for the partitioned
  * full walk: every node runs every cycle, so fanout marking buys
- * nothing (and the shared queue would race across workers). The value
+ * nothing (and the shared dirty set would race across workers). The value
  * trajectory — including the SCC Gauss-Seidel iteration order and the
  * settled conflict re-check — is identical to evalNode's, which is
  * what makes partitioned results bit-identical to scalar ones.
@@ -1094,7 +1415,7 @@ SimState::partitionedCycle()
     bindSchedule();
     ensurePartitioned();
     bool par = partRunner->beginCycle(crew);
-    // The partitioned walk's clock edge does not seed the dirty queue,
+    // The partitioned walk's clock edge does not seed the dirty set,
     // so a serial cycle after a parallel one walks everything.
     if (parallelCycle && !par)
         activationValid = false;
@@ -1114,15 +1435,12 @@ SimState::combPartitioned()
     // The partitioned walk evaluates the full schedule every cycle, so
     // only the per-port active-driver lists need maintaining — no
     // dirty diffing. rebuildActiveByPort still marks nodes dirty as a
-    // side effect; drain those marks so a later scalar cycle (or
+    // side effect; clear those marks so a later scalar cycle (or
     // engine switch) starts clean.
     if (!activationValid || activationCalls != prevActivationCalls)
         rebuildActiveByPort();
     activationValid = true;
-    while (!queue.empty()) {
-        inQueue[queue.top()] = 0;
-        queue.pop();
-    }
+    dirty.clear();
 
     const PartitionPlan &p = *partPlan;
     partRunner->run(
@@ -1147,7 +1465,7 @@ SimState::combLevelized()
     }
 
     if (!activationValid) {
-        markAllDirty();
+        dirty.markAll();
         rebuildActiveByPort();
     } else {
         if (activationCalls != prevActivationCalls)
@@ -1157,15 +1475,7 @@ SimState::combLevelized()
     }
     activationValid = true;
 
-    int evaluated = 0;
-    while (!queue.empty()) {
-        uint32_t node = queue.top();
-        queue.pop();
-        inQueue[node] = 0;
-        evalNode(node);
-        ++evaluated;
-    }
-    return evaluated;
+    return dirty.drain([this](uint32_t node) { evalNode(node); });
 }
 
 void
@@ -1186,7 +1496,7 @@ SimState::clock()
         // shared settled port values and writes only its own private
         // state, so a plain range split over the partition plan's
         // thread count is exact (no ownership or ordering needed).
-        // The queue seeding below is skipped: the next cycle either
+        // The dirty seeding below is skipped: the next cycle either
         // walks the full partition or, switching to serial, the whole
         // schedule (see partitionedCycle()).
         auto edge = [&](size_t i) { models[i]->clock(vals.data()); };
@@ -1206,7 +1516,7 @@ SimState::clock()
     for (const auto &m : models)
         m->clock(vals.data());
     if (engineVal == Engine::Levelized && sched) {
-        // Seed the next cycle's event queue: outputs of stateful models
+        // Seed the next cycle's dirty set: outputs of stateful models
         // whose post-edge value differs from the settled one.
         const auto &stateful = sched->statefulModels();
         for (size_t i = 0; i < stateful.size(); ++i) {

@@ -1,10 +1,12 @@
 #ifndef CALYX_SIM_ENV_H
 #define CALYX_SIM_ENV_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,15 +68,29 @@ const char *engineName(Engine engine);
 Engine parseEngine(const std::string &name);
 
 /**
- * A compiled guard expression: the source Guard tree flattened to a
- * postorder array evaluated with a value stack. Port references are
- * resolved to flat port ids.
+ * One distinct compiled guard, interned in its program's GuardPool
+ * (every assignment with the same guard shares one entry).
+ *
+ * `nodes` is the source Guard tree flattened to postorder, with port
+ * references resolved to flat port ids. It is the entry's identity and
+ * the form the cppsim emitter, the schedule's dependency edges and the
+ * partition cost model read.
+ *
+ * `code` is the evaluation form every interpreting engine runs, built
+ * once per entry from `nodes` (docs/simulation.md, "Guard
+ * evaluation"): the guard's leaf tests in prefix order, with negations
+ * pushed into them, constant comparisons folded and same-port range
+ * conjunctions fused. Each test names its successor for either
+ * outcome, derived from the subtree ends of the flattened And/Or tree:
+ * the next test to run, or the guard's final value. Successors always
+ * lie ahead, so evaluation is one forward loop that short-circuits by
+ * jumping, with no value stack and no recursion.
  */
 struct SExpr
 {
     enum class Op : uint8_t {
         True,
-        Port,  ///< push vals[a]
+        Port,  ///< bit 0 of vals[a]
         Not,
         And,
         Or,
@@ -92,37 +108,90 @@ struct SExpr
         uint32_t a = 0, b = 0;     ///< Port ids for Port/Cmp leaves.
         uint64_t immA = 0, immB = 0;
         bool aImm = false, bImm = false;
+
+        bool operator==(const Node &) const = default;
     };
 
+    /** One leaf test of the evaluation form. */
+    struct Test
+    {
+        enum class Op : uint8_t {
+            Bit, ///< vals[a] & 1
+            In,  ///< lo <= vals[a] <= lo + span
+            Eq,  ///< vals[a] == vals[b]
+            Lt,  ///< vals[a] < vals[b]
+        };
+        Op op = Op::Bit;
+        uint32_t a = 0, b = 0;
+        uint64_t lo = 0, span = 0;
+        /// Where to go when the test is false ([0]) or true ([1]): a
+        /// later index into `code`, or resultFalse / resultTrue.
+        uint32_t next[2] = {0, 0};
+    };
+
+    static constexpr uint32_t resultFalse = UINT32_MAX - 1;
+    static constexpr uint32_t resultTrue = UINT32_MAX;
+
     std::vector<Node> nodes; ///< Empty means "always true".
+    std::vector<Test> code;  ///< Evaluation form; see above.
+    uint32_t start = resultTrue; ///< First test, or a constant result.
 
-    /**
-     * Maximum value-stack depth eval() can reach, computed when the
-     * guard is compiled. Guards deeper than the inline scratch buffer
-     * fall back to heap-sized storage instead of overflowing it.
-     */
-    uint32_t depth = 0;
-
-    bool eval(const uint64_t *vals) const;
-
-    /** Recompute `depth` from `nodes` (called after compilation). */
-    void computeDepth();
+    bool
+    eval(const uint64_t *vals) const
+    {
+        const Test *t = code.data();
+        uint32_t pc = start;
+        while (pc < resultFalse) {
+            const Test &x = t[pc];
+            bool v;
+            switch (x.op) {
+              case Test::Op::Bit:
+                v = vals[x.a] & 1;
+                break;
+              case Test::Op::In:
+                v = vals[x.a] - x.lo <= x.span;
+                break;
+              case Test::Op::Eq:
+                v = vals[x.a] == vals[x.b];
+                break;
+              default:
+                v = vals[x.a] < vals[x.b];
+                break;
+            }
+            pc = x.next[v];
+        }
+        return pc == resultTrue;
+    }
 
     /** Append every port id the guard reads to `ports`. */
     void collectPorts(std::vector<uint32_t> &ports) const;
-
-  private:
-    bool evalWith(const uint64_t *vals, uint64_t *stack) const;
 };
 
-/** Inline eval stack size; deeper guards use heap scratch. */
-constexpr uint32_t sexprInlineDepth = 64;
+/**
+ * The distinct guards of one program. intern() returns the existing
+ * entry for a postorder form it has seen and builds a new entry
+ * (including its evaluation form) otherwise. Entries never move, so
+ * SAssign holds a plain pointer to its own.
+ */
+class GuardPool
+{
+  public:
+    const SExpr *intern(const std::vector<SExpr::Node> &nodes);
+
+    size_t size() const { return entries.size(); }
+    const SExpr &operator[](size_t i) const { return entries[i]; }
+
+  private:
+    std::deque<SExpr> entries;
+    /// Hash of `nodes` -> entry; equal hashes are told apart by nodes.
+    std::unordered_multimap<uint64_t, const SExpr *> index;
+};
 
 /** A compiled assignment. */
 struct SAssign
 {
     uint32_t dst = 0;
-    SExpr guard;
+    const SExpr *guard = nullptr; ///< Entry in the program's GuardPool.
     bool srcConst = false;
     uint32_t srcPort = 0;
     uint64_t srcValue = 0;
@@ -233,13 +302,16 @@ class SimProgram
 
     const Context &context() const { return *ctx; }
 
+    /** Every distinct guard of the program, each compiled once. */
+    const GuardPool &guards() const { return guardPool; }
+
   private:
     friend class SimState;
 
     void buildInstance(Instance &inst, const Component &comp);
     uint32_t addPort(Symbol path);
     SAssign compileAssign(const Instance &inst, const Assignment &a);
-    SExpr compileGuard(const Instance &inst, const GuardPtr &g);
+    const SExpr *compileGuard(const Instance &inst, const GuardPtr &g);
     uint32_t resolve(const Instance &inst, const PortRef &ref);
 
     const Context *ctx;
@@ -249,9 +321,79 @@ class SimProgram
     std::vector<std::unique_ptr<PrimModel>> modelList;
     std::unordered_map<Symbol, PrimModel *> modelIndex;
     std::vector<std::string> assignDescs;
+    GuardPool guardPool;
+    std::vector<SExpr::Node> guardScratch; ///< compileGuard's buffer.
     mutable std::unique_ptr<SimSchedule> sched; ///< Lazily built.
     /// Lazily loaded generated modules: [0] plain, [1] with probes.
     mutable std::shared_ptr<CompiledModule> compiled[2];
+};
+
+/**
+ * The levelized walk's dirty set: one bit per schedule node, whose ids
+ * are in topological order. drain() visits the set bits lowest first
+ * with a forward cursor. Evaluating a node only ever marks later nodes
+ * (fanout edges run forward in the schedule, and an SCC's members
+ * settle inside their own node), so no heap is needed and the visit
+ * order is the one a min-priority queue would give. mark() panics on a
+ * node at or behind the cursor during a drain.
+ */
+class DirtyNodes
+{
+  public:
+    /** Size for `n` nodes, all clean. */
+    void resize(uint32_t n);
+
+    void
+    mark(uint32_t node)
+    {
+        uint64_t bit = uint64_t(1) << (node & 63);
+        uint64_t &word = words[node >> 6];
+        if (word & bit)
+            return;
+        if (node < floor)
+            markedBehindCursor(node);
+        word |= bit;
+        ++count;
+        low = std::min(low, node);
+    }
+
+    void markAll();
+    void clear();
+
+    /** Call `eval(node)` for every dirty node, lowest id first,
+     * including nodes marked while the drain runs; return the count. */
+    template <typename Fn>
+    int
+    drain(Fn &&eval)
+    {
+        struct Rewind
+        {
+            uint32_t &floor;
+            ~Rewind() { floor = 0; }
+        } rewind{floor};
+        int visited = 0;
+        for (uint32_t w = low >> 6; count; ++w) {
+            for (uint64_t bits; (bits = words[w]);) {
+                uint32_t node = w * 64 + std::countr_zero(bits);
+                words[w] = bits & (bits - 1);
+                --count;
+                floor = node + 1;
+                eval(node);
+                ++visited;
+            }
+        }
+        low = UINT32_MAX;
+        return visited;
+    }
+
+  private:
+    [[noreturn]] static void markedBehindCursor(uint32_t node);
+
+    std::vector<uint64_t> words;
+    uint32_t nodes = 0;
+    uint32_t count = 0;        ///< Set bits.
+    uint32_t low = UINT32_MAX; ///< No bit below this one is set.
+    uint32_t floor = 0;        ///< During drain(): one past the cursor.
 };
 
 /**
@@ -393,7 +535,6 @@ class SimState
                       uint64_t *scratch);
 
     void markDirty(uint32_t port);
-    void markAllDirty();
     void rebuildActiveByPort();
     void diffForces();
     void evalNode(uint32_t node_index);
@@ -431,10 +572,7 @@ class SimState
     std::vector<uint32_t> forcedStamp;
     uint32_t stamp = 0; ///< Incremented every comb().
 
-    /// Event queue: dirty schedule nodes, popped in topological order.
-    std::priority_queue<uint32_t, std::vector<uint32_t>,
-                        std::greater<uint32_t>> queue;
-    std::vector<uint8_t> inQueue;     ///< Per schedule node.
+    DirtyNodes dirty; ///< Dirty schedule nodes, walked in topological order.
     std::vector<uint8_t> portChanged; ///< Scratch for cyclic nodes.
 
     // --- Compiled engine state --------------------------------------
@@ -451,7 +589,7 @@ class SimState
     /// levelized partitioned walk hands workers disjoint planes.
     std::vector<std::vector<uint64_t>> workerScratch;
     /// The current cycle walked the partition in parallel (levelized):
-    /// its clock edge skipped the dirty-queue seeding.
+    /// its clock edge skipped the dirty-set seeding.
     bool parallelCycle = false;
     WorkPool::Crew *crew = nullptr; ///< Lent by a CrewScope.
 

@@ -58,7 +58,7 @@ buildPartitionPlan(const SimProgram &prog, const SimSchedule &sched,
     prog.forEachAssignment([&](const SAssign &a, bool) {
         ++fanIn[a.dst];
         guardWeight[a.dst] +=
-            static_cast<uint32_t>(a.guard.nodes.size());
+            static_cast<uint32_t>(a.guard->nodes.size());
     });
 
     std::vector<uint64_t> cost(N, 1);

@@ -115,7 +115,7 @@ SimSchedule::SimSchedule(const SimProgram &prog)
     std::vector<uint32_t> guardPorts;
 
     prog.forEachAssignment([&](const SAssign &a, bool continuous) {
-        bool uncond = continuous && a.guard.nodes.empty();
+        bool uncond = continuous && a.guard->nodes.empty();
         if (!a.srcConst) {
             edges.push_back({a.srcPort, a.dst});
             if (a.srcPort == a.dst)
@@ -124,7 +124,7 @@ SimSchedule::SimSchedule(const SimProgram &prog)
                 uncondEdges.push_back({a.srcPort, a.dst});
         }
         guardPorts.clear();
-        a.guard.collectPorts(guardPorts);
+        a.guard->collectPorts(guardPorts);
         for (uint32_t g : guardPorts) {
             edges.push_back({g, a.dst});
             if (g == a.dst)

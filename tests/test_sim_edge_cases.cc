@@ -228,19 +228,20 @@ TEST(SimEdge, ForcesBeatAssignments)
     EXPECT_EQ(*sp.findModel("x")->registerValue(), 42u);
 }
 
-TEST(SimEdge, DeepGuardUsesHeapScratch)
+TEST(SimEdge, DeepGuardEvaluatesIteratively)
 {
-    // A right-leaning conjunction deeper than the inline eval stack
-    // (sexprInlineDepth) used to overflow a fixed 64-slot buffer with
-    // no bound check; guards now carry their compile-time max depth and
-    // fall back to heap scratch.
+    // A right-leaning conjunction thousands of levels deep settles on
+    // both interpreting engines. Its nested Ands flatten into one n-ary
+    // And: a flat list of negated f.out tests, each of which leaves the
+    // guard false when f.out is set.
+    constexpr uint32_t depth = 4096;
     Context ctx;
     Component &comp = ctx.addComponent("main");
     comp.addCell("f", "std_reg", {1}, ctx);
     comp.addCell("x", "std_reg", {8}, ctx);
     GuardPtr leaf = Guard::negate(Guard::fromPort(cellPort("f", "out")));
     GuardPtr chain = leaf;
-    for (uint32_t i = 0; i < 2 * sim::sexprInlineDepth; ++i)
+    for (uint32_t i = 0; i < depth; ++i)
         chain = Guard::conj(leaf, chain);
     comp.continuousAssignments().emplace_back(cellPort("x", "in"),
                                               constant(7, 8), chain);
@@ -248,6 +249,10 @@ TEST(SimEdge, DeepGuardUsesHeapScratch)
     for (sim::Engine engine :
          {sim::Engine::Jacobi, sim::Engine::Levelized}) {
         sim::SimProgram sp(ctx, "main");
+        const sim::SExpr &g = *sp.root().continuous[0].guard;
+        ASSERT_EQ(g.code.size(), depth + 1);
+        for (const sim::SExpr::Test &t : g.code)
+            EXPECT_EQ(t.next[1], sim::SExpr::resultFalse);
         sim::SimState st(sp, engine);
         st.reset();
         st.beginCycle();
